@@ -38,6 +38,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidDegrees,
     InvalidDesign,
+    InvalidParameter,
     NoSurvivingReplica,
     NodeOutOfRange,
     NotCanonical,

@@ -28,8 +28,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .errors import IndexOutOfRange, NotPrimePower, ResourceLimit
-from .gf import Field, field_new
+from .errors import IndexOutOfRange, InvalidParameter, ResourceLimit
+from .gf import Field, factor_prime_power, field_new
 from .mols import MolsSet, generate_mols
 
 __all__ = [
@@ -51,9 +51,9 @@ MAX_EDGES_ENV = "FRC_MAX_EDGES"
 def p_n(q: int, n: int) -> int:
     """q**n + q**(n-1) + ... + q + 1, with p_0 = 1."""
     if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+        raise InvalidParameter(f"q must be >= 2, got {q}")
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise InvalidParameter(f"n must be >= 0, got {n}")
     return (q ** (n + 1) - 1) // (q - 1)
 
 
@@ -106,7 +106,7 @@ def _resolve_max_edges(max_edges: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise ValueError(f"{MAX_EDGES_ENV} must be an integer, got {env!r}")
+            raise InvalidParameter(f"{MAX_EDGES_ENV} must be an integer, got {env!r}")
     return DEFAULT_MAX_EDGES
 
 
@@ -138,16 +138,12 @@ def _square_order(mols: MolsSet) -> list[tuple[int, int]]:
     return [(m, i) for _, m, i in keyed]
 
 
-def _expand_design(f: Field, mols: MolsSet, prev: BipartiteDesign, max_edges: int) -> BipartiteDesign:
+def _expand_design(f: Field, mols: MolsSet, prev: BipartiteDesign) -> BipartiteDesign:
     q = f.q
     k = q + 1
     l_new = prev.v
     v_new = 1 + q * l_new
     u_new = l_new + q * q * prev.u
-    if u_new * k > max_edges:
-        raise ResourceLimit(
-            f"(q={q}, n={prev.n + 1}) needs {u_new * k} edges, cap is {max_edges}"
-        )
 
     # Previous chunk locations become the driving blocks, processed in
     # lexicographic order of the sorted location tuples.
@@ -218,18 +214,26 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> Bipartite
     """Design with k = q+1, l = p_n(q), |Y| = p_{n+1}(q) and
     |X| = p_{n+1}(q) * p_n(q) / (q+1).
 
-    Raises NotPrimePower for invalid q and ResourceLimit when the
-    result would exceed the edge cap (argument, FRC_MAX_EDGES env var,
-    or the built-in default, in that precedence).
+    Raises InvalidParameter for n < 1, NotPrimePower for invalid q and
+    ResourceLimit when the result would exceed the edge cap (argument,
+    FRC_MAX_EDGES env var, or the built-in default, in that
+    precedence).
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidParameter(f"n must be >= 1, got {n}")
     cap = _resolve_max_edges(max_edges)
+    factor_prime_power(q)
+    # Iteration i has u*k = p_{i+1}(q) * p_i(q) edges, so an over-cap
+    # request is refused before GF(q) and its squares are built.
+    for i in range(1, n + 1):
+        edges = p_n(q, i + 1) * p_n(q, i)
+        if edges > cap:
+            raise ResourceLimit(f"(q={q}, n={i}) needs {edges} edges, cap is {cap}")
     f = field_new(q)
     mols = generate_mols(f)
     d = _seed_design(q)
     for _ in range(n):
-        d = _expand_design(f, mols, d, cap)
+        d = _expand_design(f, mols, d)
     return d
 
 

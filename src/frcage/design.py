@@ -16,12 +16,14 @@ from dataclasses import dataclass
 from .cage import BipartiteDesign, build_scaled_cage, p_n
 from .errors import (
     InvalidDesign,
+    InvalidParameter,
     NoSurvivingReplica,
     NodeOutOfRange,
     NotCanonical,
     OutOfRange,
 )
 from .gf import field_new
+from .verify import _first_repeat
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -173,6 +175,8 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     """
     if not full.is_complete:
         raise InvalidDesign("partial_fill expects the full (q, n) design")
+    if full.n < 1:
+        raise InvalidParameter(f"partial fill needs n >= 1, got n={full.n}")
     u_prev = chunks_per_iteration(full.q, full.n - 1)
     if not u_prev < u_tilde <= full.num_chunks:
         raise OutOfRange(
@@ -205,11 +209,11 @@ def repair_plan(
 
     "lowest" always takes the smallest surviving holder id; the
     "round-robin" policy rotates through the holders by slot position
-    to spread load across repeated failures.  Distinctness needs no
-    checking: two chunks of one node never share another holder, or
-    that holder and the failed node would share a chunk pair.
-    `locations` lets callers planning many repairs reuse one
-    chunk_locations(sd) index.
+    to spread load across repeated failures.  Helpers are distinct
+    because two chunks of one node never share another holder, or that
+    holder and the failed node would share a chunk pair; a table that
+    breaks this raises InvalidDesign.  `locations` lets callers
+    planning many repairs reuse one chunk_locations(sd) index.
     """
     if not 0 <= failed < sd.num_nodes:
         raise NodeOutOfRange(f"node id must be in [0, {sd.num_nodes}), got {failed}")
@@ -217,6 +221,7 @@ def repair_plan(
         raise ValueError(f"unknown policy {policy!r}")
     locs = chunk_locations(sd) if locations is None else locations
     assignments = []
+    used = set()
     for slot, chunk in enumerate(sd.nodes[failed]):
         if chunk is None:
             continue
@@ -227,6 +232,9 @@ def repair_plan(
             helper = survivors[0]
         else:
             helper = survivors[slot % len(survivors)]
+        if helper in used:
+            raise InvalidDesign(f"node {failed} shares two chunks with node {helper}")
+        used.add(helper)
         assignments.append((chunk, helper))
     return RepairPlan(failed_node=failed, assignments=tuple(assignments))
 
@@ -250,20 +258,11 @@ def check_partial_invariants(sd: StorageDesign):
                 detail["replicas"] = (c, len(holders))
                 break
     if ok:
-        seen: dict[tuple[int, int], int] = {}
-        for c, holders in enumerate(chunk_locations(sd)):
-            for i in range(len(holders)):
-                for j in range(i + 1, len(holders)):
-                    pair = (holders[i], holders[j])
-                    if pair in seen:
-                        ok = False
-                        detail["overlap"] = (pair[0], pair[1], seen[pair], c)
-                        break
-                    seen[pair] = c
-                if not ok:
-                    break
-            if not ok:
-                break
+        w = _first_repeat(chunk_locations(sd), sd.num_nodes)
+        if w is not None:
+            ok = False
+            c0, a, c, b = w
+            detail["overlap"] = (a, b, c0, c)
     return ok, detail
 
 

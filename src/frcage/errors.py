@@ -16,6 +16,10 @@ class OrderMismatch(FrcageError, ValueError):
     """Two squares of different orders were compared."""
 
 
+class InvalidParameter(FrcageError, ValueError):
+    """An iteration count or setting outside its valid range."""
+
+
 class InvalidDegrees(FrcageError, ValueError):
     """Degree pair violates l >= k >= 2."""
 

@@ -1,9 +1,11 @@
-"""Independent brute-force checks for constructed designs.
+"""Independent checks for constructed designs.
 
-Everything here is deliberately simple counting: common-neighbor scans
-for 4-cycles, pair-coverage tallies for the Steiner property, and the
-closed-form girth-6 lower bounds.  Witnesses are reported for the
-first failure in a deterministic scan order.
+Every pair check runs on one bitset kernel: each element a keeps a
+Python-int mask of the elements b > a it has shared a block with, and a
+block is walked once, largest element first, so u blocks of k elements
+cost u*k operations on v-bit ints instead of u*C(k,2) pair lookups.
+Witnesses are reported for the first failure in a deterministic scan
+order.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .cage import BipartiteDesign, BlockCollection, blocks_from_graph
 from .errors import InvalidDegrees
@@ -45,40 +46,101 @@ def moore_bounds(k: int, l: int) -> BoundPair:
     return BoundPair(v_min=1 + l * (k - 1), u_min=l + Fraction(l * (l - 1) * (k - 1), k))
 
 
+def _pair_scan(blocks, num_elements: int):
+    """The pair kernel: one pass over `blocks`, elements in
+    [0, num_elements).
+
+    Returns (masks, dup, first).  masks[a] has bit b for every b >= a
+    that shares a block with a (b == a only where a block repeats a);
+    dup[a] has bit b for every b > a whose pair lies in two blocks, or
+    twice in one (its bit a is not meaningful).  first is the index of
+    the first block holding a pair already seen, in an earlier block or
+    earlier in itself, else None.
+    """
+    masks = [0] * num_elements
+    dup = [0] * num_elements
+    first = None
+    for c, block in enumerate(blocks):
+        above = 0  # elements of this block already walked, all >= a
+        for a in sorted(block, reverse=True):
+            m = masks[a]
+            if m & above:
+                dup[a] |= m & above
+                if first is None:
+                    first = c
+            masks[a] = m | above
+            above |= 1 << a
+        if above.bit_count() != len(block):
+            # A repeated element r repeats its pair with every other
+            # element; the walk caught (r, b) for b > r, this adds (a, r)
+            # for a < r.  Two copies of r alone repeat nothing.
+            if first is None and len(block) > 2:
+                first = c
+            s = sorted(block)
+            twice = 0
+            for x, y in zip(s, s[1:]):
+                if x == y:
+                    twice |= 1 << x
+            for a in s:
+                dup[a] |= twice >> (a + 1) << (a + 1)
+    return masks, dup, first
+
+
+def _first_repeat(blocks, num_elements: int):
+    """(c0, a, c, b) for the first pair seen twice, scanning the blocks
+    in order and each sorted block's pairs a <= b in combinations
+    order: c is the block where (a, b) repeats and c0 <= c the first
+    block holding it.  None when no pair repeats."""
+    c = _pair_scan(blocks, num_elements)[2]
+    if c is None:
+        return None
+    # Failure path only: replay blocks 0..c restricted to block c's
+    # elements, with one partner bitset per element.
+    seen = dict.fromkeys(blocks[c], 0)
+    for j, block in enumerate(blocks[:c + 1]):
+        kept = sorted(e for e in block if e in seen)
+        for i, a in enumerate(kept):
+            for b in kept[i + 1:]:
+                if seen[a] >> b & 1:
+                    c0 = next(
+                        h for h, other in enumerate(blocks)
+                        if (other.count(a) > 1 if a == b else a in other and b in other)
+                    )
+                    return c0, a, j, b
+                seen[a] |= 1 << b
+    raise AssertionError("pair kernel and replay disagree")  # unreachable
+
+
 def girth_at_least_six(d: BipartiteDesign):
     """(True, None) when no two X vertices share two Y neighbors;
     otherwise (False, (x, y, x2, y2)) naming one 4-cycle.
 
-    Counts common neighbors by scanning each X vertex's Y-pair set,
-    the cheap side when l >> k; a pair seen twice is a 4-cycle.
+    A Y pair held by two X vertices is a 4-cycle, so this runs the pair
+    kernel over the X vertices' neighbor sets: x2 is the first vertex
+    whose pair (y, y2) was seen before, at x.
     """
-    seen: dict[int, int] = {}
-    for c, ys in enumerate(d.x_neighbors):
-        for a, b in combinations(sorted(ys), 2):
-            code = a * d.v + b
-            if code in seen:
-                return False, (seen[code], a, c, b)
-            seen[code] = c
-    return True, None
+    w = _first_repeat(d.x_neighbors, d.v)
+    return w is None, w
 
 
 def check_steiner_exact(bc: BlockCollection):
     """(True, None) when every unordered element pair lies in exactly
     one block; otherwise (False, (a, b, count)) for the first bad pair
     in sorted order."""
-    counts: dict[tuple[int, int], int] = {}
-    for block in bc.blocks:
-        for pair in combinations(sorted(block), 2):
-            counts[pair] = counts.get(pair, 0) + 1
-    total = bc.num_elements * (bc.num_elements - 1) // 2
-    if len(counts) == total and all(c == 1 for c in counts.values()):
-        return True, None
-    for a in range(bc.num_elements):
-        for b in range(a + 1, bc.num_elements):
-            c = counts.get((a, b), 0)
-            if c != 1:
-                return False, (a, b, c)
-    raise AssertionError("inconsistent pair counts")  # unreachable
+    v = bc.num_elements
+    masks, dup, _ = _pair_scan(bc.blocks, v)
+    full = (1 << v) - 1
+    for a in range(v):
+        bad = (dup[a] | ~masks[a]) & (full >> (a + 1) << (a + 1))
+        if bad:
+            b = (bad & -bad).bit_length() - 1
+            return False, (a, b, sum(blk.count(a) * blk.count(b) for blk in bc.blocks))
+    # Every pair of distinct elements is covered once; a block that
+    # repeats an element still makes the collection no Steiner system.
+    for a in range(v):
+        if masks[a] >> a & 1:
+            return False, (a, a, sum(blk.count(a) * (blk.count(a) - 1) // 2 for blk in bc.blocks))
+    return True, None
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, files, determinism."""
 
 import json
+import time
 
 import pytest
 
-from frcage import build_scaled_cage, incidence_design, to_storage_design, verify_design
+from frcage import build_scaled_cage, incidence_design, to_json, to_storage_design, verify_design
 from frcage.cli import main
 from conftest import GOLDEN_MOLS_Q3
+import helpers
 
 
 def run(capsys, *argv):
@@ -136,6 +138,39 @@ def test_env_edge_cap(tmp_path, capsys, monkeypatch):
     # explicit flag wins over the environment
     code, _, _ = run(capsys, "construct", "--q", "2", "--n", "1", "--max-edges", "1000")
     assert code == 0
+
+
+def test_over_cap_construct_is_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "construct", "--q", "512", "--n", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and "ResourceLimit" in err
+
+
+def test_bad_parameters_exit_2_named(tmp_path, capsys, monkeypatch):
+    code, _, err = run(capsys, "construct", "--q", "2", "--n", "0")
+    assert code == 2 and err.startswith("InvalidParameter:")
+
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "1", "-o", str(path))
+    payload = json.loads(path.read_text())
+    payload["header"]["n"] = 0
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "fill", "-i", str(path), "--chunks", "3")
+    assert code == 2 and err.startswith("InvalidParameter:")
+
+    monkeypatch.setenv("FRC_MAX_EDGES", "abc")
+    code, _, err = run(capsys, "construct", "--q", "2", "--n", "1")
+    assert code == 2 and err.startswith("InvalidParameter:")
+
+
+def test_repair_rejects_nodes_sharing_two_chunks(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    sd = helpers.storage_from_rows([[0, 1], [0, 1], [2, 3], [2, 3]], num_chunks=4, k=2)
+    path.write_text(to_json(sd))
+    code, out, err = run(capsys, "repair", "-i", str(path), "--node", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("InvalidDesign:")
 
 
 def test_missing_file(capsys):

@@ -228,6 +228,10 @@ def test_repair_plan_errors():
     toy = helpers.storage_from_rows([[0]], num_chunks=1, k=1)
     with pytest.raises(NoSurvivingReplica):
         repair_plan(toy, 0)
+    # nodes 0 and 1 share two chunks, so node 1 would help twice
+    shared = helpers.storage_from_rows([[0, 1], [0, 1], [2, 3], [2, 3]], num_chunks=4, k=2)
+    with pytest.raises(InvalidDesign):
+        repair_plan(shared, 0)
 
 
 # ---------------------------------------------------------------------------
