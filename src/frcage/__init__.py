@@ -47,7 +47,7 @@ from .errors import (
     OutOfRange,
     ResourceLimit,
 )
-from .gf import Field, add, field_new, find_primitive_element, mul
+from .gf import Field, field_new, find_primitive_element
 from .mols import (
     MolsSet,
     Square,

@@ -68,7 +68,9 @@ class BipartiteDesign:
     iteration's chunk whose locations formed the driving block.
     input_blocks[h] is that block (empty tuple of blocks when n = 0 or
     for hand-built designs).  Tags may be None for designs rebuilt
-    from serialized storage tables.
+    from serialized storage tables.  gf is the field a construction
+    was built over (None for hand-built or rebuilt designs); it takes
+    no part in equality.
     """
 
     q: int | None
@@ -81,6 +83,7 @@ class BipartiteDesign:
     y_tags: tuple[tuple, ...] | None = None
     x_tags: tuple[tuple, ...] | None = None
     input_blocks: tuple[tuple[int, ...], ...] = field(default=())
+    gf: Field | None = field(default=None, compare=False, repr=False)
 
     def y_neighbor_lists(self) -> list[tuple[int, ...]]:
         """Adjacency of each Y vertex (ascending X ids), computed fresh."""
@@ -207,6 +210,7 @@ def _expand_design(f: Field, mols: MolsSet, prev: BipartiteDesign) -> BipartiteD
         y_tags=y_tags,
         x_tags=tuple(x_tags),
         input_blocks=tuple(prev.x_neighbors),
+        gf=f,
     )
 
 

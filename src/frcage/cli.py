@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import design as design_mod
@@ -21,11 +22,27 @@ __all__ = ["main"]
 
 
 def _write(text: str, path: str | None) -> None:
+    """Write to stdout, or replace the file at `path` atomically: a
+    failed write leaves any existing file as it was and no temporary
+    file behind.  A symlink is followed; a device or pipe such as
+    /dev/stdout cannot be replaced and is written in place."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
             fh.write(text)
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _load(path: str) -> design_mod.StorageDesign:
@@ -56,15 +73,15 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# The loaded design and its location index are freed before to_json runs.
 def _cmd_expand(args) -> int:
-    sd = _load(args.input)
-    _write(design_mod.to_json(design_mod.expand(sd, max_edges=args.max_edges)), args.output)
+    new = design_mod.expand(_load(args.input), max_edges=args.max_edges)
+    _write(design_mod.to_json(new), args.output)
     return 0
 
 
 def _cmd_fill(args) -> int:
-    sd = _load(args.input)
-    _write(design_mod.to_json(design_mod.partial_fill(sd, args.chunks)), args.output)
+    _write(design_mod.to_json(design_mod.partial_fill(_load(args.input), args.chunks)), args.output)
     return 0
 
 

@@ -11,7 +11,8 @@ the (q, n-1) table is literally the first l[n-1] columns of the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .cage import BipartiteDesign, build_scaled_cage, p_n
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     NotCanonical,
     OutOfRange,
 )
-from .gf import field_new
+from .gf import Field, field_new
 from .verify import _first_repeat
 
 __all__ = [
@@ -61,8 +62,7 @@ class FieldMeta:
     primitive: int
 
     @classmethod
-    def for_q(cls, q: int) -> "FieldMeta":
-        f = field_new(q)
+    def of(cls, f: Field) -> "FieldMeta":
         return cls(p=f.p, m=f.m, modulus=f.modulus, primitive=f.alpha)
 
 
@@ -86,6 +86,18 @@ class StorageDesign:
     def is_complete(self) -> bool:
         return all(slot is not None for row in self.nodes for slot in row)
 
+    @cached_property
+    def locations(self) -> tuple[tuple[int, ...], ...]:
+        """Chunk-location index, built on first use and kept for the
+        life of the design; see chunk_locations."""
+        locs: list[list[int]] = [[] for _ in range(self.num_chunks)]
+        # rows are walked in ascending node order, so holders come out sorted
+        for g, row in enumerate(self.nodes):
+            for c in row:
+                if c is not None:
+                    locs[c].append(g)
+        return tuple(map(tuple, locs))
+
 
 @dataclass(frozen=True)
 class RepairPlan:
@@ -107,7 +119,7 @@ def to_storage_design(d: BipartiteDesign) -> StorageDesign:
         num_nodes=d.v,
         num_chunks=d.u,
         nodes=tuple(d.y_neighbor_lists()),
-        field_meta=FieldMeta.for_q(d.q),
+        field_meta=FieldMeta.of(d.gf if d.gf is not None else field_new(d.q)),
     )
 
 
@@ -133,22 +145,21 @@ def incidence_design(sd: StorageDesign) -> BipartiteDesign:
 
 def chunk_locations(sd: StorageDesign) -> tuple[tuple[int, ...], ...]:
     """For every chunk id, the ascending list of nodes storing it
-    (empty for chunks blanked by partial fill)."""
-    locs: list[list[int]] = [[] for _ in range(sd.num_chunks)]
-    for g, row in enumerate(sd.nodes):
-        for c in row:
-            if c is not None:
-                locs[c].append(g)
-    return tuple(tuple(sorted(row)) for row in locs)
+    (empty for chunks blanked by partial fill).  The index is computed
+    once per design, on first use, and every later call returns it."""
+    return sd.locations
 
 
 def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
     """Grow a canonical (q, n) design to (q, n+1).
 
     Every old node keeps its slots as a prefix and every old chunk id
-    is preserved; new chunk ids are appended only.  Raises NotCanonical
-    when `old` is not exactly this library's construction for its
-    declared parameters.
+    is preserved; new chunk ids are appended only.  Only (q, n+1) is
+    built: `old` must equal its (q, n) prefix (the first p_{n+1}(q)
+    nodes, the first p_n(q) slots of each, same field metadata), or
+    NotCanonical is raised.  An over-cap request raises ResourceLimit
+    before anything is built, so a table that is both non-canonical
+    and over the cap gets ResourceLimit.
     """
     if old.version != SCHEMA_VERSION or old.construction != CONSTRUCTION:
         raise NotCanonical(
@@ -158,12 +169,17 @@ def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
         raise NotCanonical("partially filled designs cannot be expanded")
     if old.n < 1:
         raise NotCanonical(f"expansion needs n >= 1, got n={old.n}")
-    canonical = to_storage_design(build_scaled_cage(old.q, old.n, max_edges=max_edges))
-    if canonical != old:
+    new = to_storage_design(build_scaled_cage(old.q, old.n + 1, max_edges=max_edges))
+    v, l = p_n(old.q, old.n + 1), p_n(old.q, old.n)
+    prefix = replace(
+        new, n=old.n, l=l, num_nodes=v, num_chunks=chunks_per_iteration(old.q, old.n),
+        nodes=tuple(row[:l] for row in new.nodes[:v]),
+    )
+    if prefix != old:
         raise NotCanonical(
             f"design does not match the canonical (q={old.q}, n={old.n}) construction"
         )
-    return to_storage_design(build_scaled_cage(old.q, old.n + 1, max_edges=max_edges))
+    return new
 
 
 def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
@@ -185,26 +201,10 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     nodes = tuple(
         tuple(c if c is not None and c < u_tilde else None for c in row) for row in full.nodes
     )
-    return StorageDesign(
-        q=full.q,
-        n=full.n,
-        k=full.k,
-        l=full.l,
-        num_nodes=full.num_nodes,
-        num_chunks=full.num_chunks,
-        nodes=nodes,
-        field_meta=full.field_meta,
-        version=full.version,
-        construction=full.construction,
-    )
+    return replace(full, nodes=nodes)
 
 
-def repair_plan(
-    sd: StorageDesign,
-    failed: int,
-    policy: str = "lowest",
-    locations: tuple[tuple[int, ...], ...] | None = None,
-) -> RepairPlan:
+def repair_plan(sd: StorageDesign, failed: int, policy: str = "lowest") -> RepairPlan:
     """Pick one distinct helper node per chunk of the failed node.
 
     "lowest" always takes the smallest surviving holder id; the
@@ -212,14 +212,13 @@ def repair_plan(
     to spread load across repeated failures.  Helpers are distinct
     because two chunks of one node never share another holder, or that
     holder and the failed node would share a chunk pair; a table that
-    breaks this raises InvalidDesign.  `locations` lets callers
-    planning many repairs reuse one chunk_locations(sd) index.
+    breaks this raises InvalidDesign.
     """
     if not 0 <= failed < sd.num_nodes:
         raise NodeOutOfRange(f"node id must be in [0, {sd.num_nodes}), got {failed}")
     if policy not in ("lowest", "round-robin"):
         raise ValueError(f"unknown policy {policy!r}")
-    locs = chunk_locations(sd) if locations is None else locations
+    locs = chunk_locations(sd)
     assignments = []
     used = set()
     for slot, chunk in enumerate(sd.nodes[failed]):
@@ -304,20 +303,18 @@ def from_json(text: str) -> StorageDesign:
         header = payload["header"]
         fmeta = header["field"]
         sd = StorageDesign(
-            q=int(header["q"]),
-            n=int(header["n"]),
-            k=int(header["k"]),
-            l=int(header["l"]),
-            num_nodes=int(header["num_nodes"]),
-            num_chunks=int(header["num_chunks"]),
-            nodes=tuple(
-                tuple(None if c is None else int(c) for c in row) for row in payload["nodes"]
-            ),
+            q=_int(header["q"]),
+            n=_int(header["n"]),
+            k=_int(header["k"]),
+            l=_int(header["l"]),
+            num_nodes=_int(header["num_nodes"]),
+            num_chunks=_int(header["num_chunks"]),
+            nodes=tuple(map(tuple, payload["nodes"])),
             field_meta=FieldMeta(
-                p=int(fmeta["p"]),
-                m=int(fmeta["m"]),
-                modulus=tuple(int(c) for c in fmeta["modulus"]),
-                primitive=int(fmeta["primitive"]),
+                p=_int(fmeta["p"]),
+                m=_int(fmeta["m"]),
+                modulus=tuple(map(_int, fmeta["modulus"])),
+                primitive=_int(fmeta["primitive"]),
             ),
             version=str(header["version"]),
             construction=str(header["construction"]),
@@ -328,16 +325,26 @@ def from_json(text: str) -> StorageDesign:
     return sd
 
 
+def _int(x):
+    """Header integers must be JSON integers; true and 2.9 are refused."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _validate(sd: StorageDesign) -> None:
     if len(sd.nodes) != sd.num_nodes:
         raise InvalidDesign(f"expected {sd.num_nodes} nodes, found {len(sd.nodes)}")
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
-        present = [c for c in row if c is not None]
-        if any(not 0 <= c < sd.num_chunks for c in present):
+        if not set(map(type, row)) <= {int, type(None)}:
+            raise InvalidDesign(f"node {g} has a slot that is neither an integer nor null")
+        present = set(row)
+        present.discard(None)
+        if present and not (0 <= min(present) and max(present) < sd.num_chunks):
             raise InvalidDesign(f"node {g} references a chunk id out of range")
-        if len(set(present)) != len(present):
+        if len(present) != sd.l - row.count(None):
             raise InvalidDesign(f"node {g} repeats a chunk id")
     for c, holders in enumerate(chunk_locations(sd)):
         if holders and len(holders) != sd.k:

@@ -20,8 +20,6 @@ __all__ = [
     "Field",
     "field_new",
     "find_primitive_element",
-    "add",
-    "mul",
     "factor_prime_power",
     "lowest_irreducible",
 ]
@@ -163,22 +161,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def power(self, a: int, e: int) -> int:
-        acc = 1
-        for _ in range(e):
-            acc = self._mul[acc][a]
-        return acc
-
-    def order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        x, o = a, 1
-        while x != 1:
-            x = self._mul[x][a]
-            o += 1
-        return o
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial coordinates of an element, low degree first."""
         return tuple((a // self.p**i) % self.p for i in range(self.m))
@@ -213,13 +195,3 @@ def find_primitive_element(f: Field) -> int:
         if o == target:
             return a
     raise AssertionError("no primitive element found")  # unreachable
-
-
-def add(f: Field, a: int, b: int) -> int:
-    """Field addition (coefficientwise mod p)."""
-    return f.add(a, b)
-
-
-def mul(f: Field, a: int, b: int) -> int:
-    """Field multiplication (polynomial product reduced by the modulus)."""
-    return f.mul(a, b)

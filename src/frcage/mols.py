@@ -42,10 +42,8 @@ class MolsSet:
 def generate_mols(f: Field) -> MolsSet:
     """Build the q-square family for GF(q).
 
-    Cell (i, j) of square m is the sequence index of e_i + e_m * e_j.
-    Rows are normalized so column 0 is in natural order; with the e_i
-    symbol indexing this is already the case, so the sort is a no-op
-    kept for the stated contract.
+    Cell (i, j) of square m is the sequence index of e_i + e_m * e_j,
+    so column 0 (e_j = 0) reads 0, 1, ..., q-1.
     """
     q, e = f.q, f.elements
     squares = []
@@ -54,7 +52,6 @@ def generate_mols(f: Field) -> MolsSet:
             tuple(f.sequence_index(f.add(e[i], f.mul(e[m], e[j]))) for j in range(q))
             for i in range(q)
         ]
-        rows.sort(key=lambda row: row[0])
         squares.append(Square(order=q, index=m, cells=tuple(rows)))
     return MolsSet(q=q, squares=tuple(squares))
 

@@ -8,7 +8,7 @@ behind a matching bug in its checker.
 from collections import Counter
 from itertools import combinations
 
-from frcage import BipartiteDesign, FieldMeta, StorageDesign
+from frcage import BipartiteDesign, FieldMeta, StorageDesign, field_new
 
 
 def naive_no_four_cycles(d: BipartiteDesign) -> bool:
@@ -58,6 +58,15 @@ def incidence_from_blocks(blocks, num_elements, q=None, n=None) -> BipartiteDesi
     )
 
 
+def holders_from_rows(rows, num_chunks) -> tuple[tuple[int, ...], ...]:
+    """For each chunk id, the ids of the rows containing it, found by
+    testing every row for every chunk."""
+    sets = [set(row) for row in rows]
+    return tuple(
+        tuple(g for g, row in enumerate(sets) if c in row) for c in range(num_chunks)
+    )
+
+
 def storage_from_rows(rows, num_chunks, k, q=3, n=1) -> StorageDesign:
     """Hand-built storage table for repair tests."""
     return StorageDesign(
@@ -68,7 +77,7 @@ def storage_from_rows(rows, num_chunks, k, q=3, n=1) -> StorageDesign:
         num_nodes=len(rows),
         num_chunks=num_chunks,
         nodes=tuple(tuple(r) for r in rows),
-        field_meta=FieldMeta.for_q(q),
+        field_meta=FieldMeta.of(field_new(q)),
         construction="hand-built",
     )
 

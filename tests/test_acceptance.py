@@ -171,7 +171,7 @@ def test_criterion_08_repair_property():
                         assert pair not in seen, (q, n, pair, c, seen[pair])
                         seen[pair] = c
             for g in range(sd.num_nodes):
-                plan = repair_plan(sd, g, locations=locs)
+                plan = repair_plan(sd, g)
                 hs = [h for _, h in plan.assignments]
                 assert len(plan.assignments) == sd.l, (q, n, g)
                 assert len(set(hs)) == len(hs), (q, n, g)

@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, files, determinism."""
 
 import json
+import os
+import stat
+import threading
 import time
 
 import pytest
 
 from frcage import build_scaled_cage, incidence_design, to_json, to_storage_design, verify_design
+from frcage import cli
 from frcage.cli import main
 from conftest import GOLDEN_MOLS_Q3
 import helpers
@@ -71,6 +75,74 @@ def test_expand_cli(tmp_path, capsys):
     assert code == 0, err
     payload = json.loads(big.read_text())
     assert payload["header"]["n"] == 2 and payload["header"]["num_nodes"] == 15
+
+
+def test_refused_expand_names_the_cap_first(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    payload = json.loads(path.read_text())
+    payload["nodes"][0], payload["nodes"][1] = payload["nodes"][1], payload["nodes"][0]
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "expand", "-i", str(path))
+    assert code == 2 and err.startswith("NotCanonical:")
+    # (2, 3) needs 465 edges: the cap is checked before the table is compared
+    code, _, err = run(capsys, "expand", "-i", str(path), "--max-edges", "400")
+    assert code == 2 and err.startswith("ResourceLimit:")
+
+
+def test_failed_write_keeps_old_output(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "1", "-o", str(path))
+    before = path.read_bytes()
+    real_open = open
+
+    class HalfWriter:
+        """Writes half of the text, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)), raising=False)
+    code, _, err = run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    assert code == 2 and "No space left" in err
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
+    monkeypatch.undo()
+    code, _, _ = run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(tmp_path / "no" / "d.json"))
+    assert code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
+
+def test_write_follows_symlinks_and_pipes(tmp_path, capsys):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old")
+    link.symlink_to(real)
+    code, out, _ = run(capsys, "construct", "--q", "2", "--n", "1")
+    assert run(capsys, "construct", "--q", "2", "--n", "1", "-o", str(link))[0] == 0
+    assert link.is_symlink() and real.read_text() == out
+
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(capsys, "construct", "--q", "2", "--n", "1", "-o", str(fifo))[0] == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == [out]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "real.json"]
 
 
 def test_fill_and_repair_cli(tmp_path, capsys):

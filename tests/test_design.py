@@ -1,13 +1,20 @@
 """Storage semantics: transpose, growth, partial fill, repair, files."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
+import frcage.cage
+import frcage.design
 from frcage import (
+    FieldMeta,
     InvalidDesign,
     NoSurvivingReplica,
     NodeOutOfRange,
     NotCanonical,
     OutOfRange,
+    ResourceLimit,
     StorageDesign,
     build_regular_cage,
     build_scaled_cage,
@@ -15,6 +22,7 @@ from frcage import (
     chunk_locations,
     chunks_per_iteration,
     expand,
+    field_new,
     from_json,
     partial_fill,
     repair_plan,
@@ -40,11 +48,38 @@ def test_to_storage_design_q2_n1_golden():
     assert (sd.num_nodes, sd.num_chunks, sd.k) == (7, 7, 3)
 
 
+def test_storage_design_keeps_its_field():
+    d = build_scaled_cage(4, 1)
+    assert d.gf.q == 4
+    sd = to_storage_design(d)
+    assert sd.field_meta == FieldMeta.of(field_new(4))
+    assert to_storage_design(replace(d, gf=None)) == sd
+
+
 def test_slot_count_identity():
     for q, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         sd = to_storage_design(build_scaled_cage(q, n))
         assert sum(len(r) for r in sd.nodes) == sd.k * sd.num_chunks
         assert sd.l * sd.num_nodes == sd.k * sd.num_chunks
+
+
+# ---------------------------------------------------------------------------
+# chunk-location index
+# ---------------------------------------------------------------------------
+
+def test_chunk_locations_computed_once():
+    sd = to_storage_design(build_scaled_cage(2, 2))
+    assert chunk_locations(sd) is chunk_locations(sd)
+    assert incidence_design(sd).x_neighbors is chunk_locations(sd)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+def test_chunk_locations_match_rows(q, n):
+    full = to_storage_design(build_scaled_cage(q, n))
+    u_prev = chunks_per_iteration(q, n - 1)
+    for sd in (full, partial_fill(full, u_prev + 1), partial_fill(full, full.num_chunks - 3)):
+        rows = [[c for c in row if c is not None] for row in sd.nodes]
+        assert chunk_locations(sd) == helpers.holders_from_rows(rows, sd.num_chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +121,47 @@ def test_expand_rejects_tampered_design():
     )
     with pytest.raises(NotCanonical):
         expand(tampered)
+
+
+def _swap_first_rows(nodes):
+    return (nodes[1], nodes[0]) + nodes[2:]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda sd: replace(sd, nodes=_swap_first_rows(sd.nodes)),
+        lambda sd: replace(sd, field_meta=replace(sd.field_meta, primitive=sd.q - 2)),
+        lambda sd: replace(sd, field_meta=FieldMeta.of(field_new(sd.q + 2))),
+        lambda sd: replace(sd, l=sd.l + 1),
+        lambda sd: replace(sd, nodes=sd.nodes[:-1]),
+        lambda sd: replace(sd, nodes=sd.nodes[:-1], num_nodes=sd.num_nodes - 1),
+        lambda sd: replace(sd, num_chunks=sd.num_chunks + 1),
+    ],
+    ids=["swapped-row", "primitive", "field", "l", "truncated", "truncated-header", "u"],
+)
+def test_expand_rejects_non_prefix(edit):
+    for q, n in ((2, 1), (3, 2)):
+        with pytest.raises(NotCanonical):
+            expand(edit(to_storage_design(build_scaled_cage(q, n))))
+
+
+def test_over_cap_expand_builds_nothing(monkeypatch):
+    big = to_storage_design(build_scaled_cage(2, 8))
+    small = to_storage_design(build_scaled_cage(2, 2))
+
+    def boom(q):
+        raise AssertionError(f"GF({q}) built for a refused expand")
+
+    monkeypatch.setattr(frcage.cage, "field_new", boom)
+    monkeypatch.setattr(frcage.design, "field_new", boom)
+    with pytest.raises(ResourceLimit):
+        expand(big)
+    # a table that is both non-canonical and over the cap is refused on the cap
+    with pytest.raises(ResourceLimit):
+        expand(replace(big, nodes=_swap_first_rows(big.nodes)))
+    with pytest.raises(ResourceLimit):
+        expand(small, max_edges=400)  # (2, 3) needs 465 edges
 
 
 def test_expand_rejects_foreign_provenance():
@@ -190,9 +266,8 @@ def test_repair_plan_s239():
 def test_repair_plan_all_nodes_distinct_helpers():
     for q, n in [(2, 2), (3, 1), (3, 2)]:
         sd = to_storage_design(build_scaled_cage(q, n))
-        locs = chunk_locations(sd)
         for g in range(sd.num_nodes):
-            plan = repair_plan(sd, g, locations=locs)
+            plan = repair_plan(sd, g)
             hs = [h for _, h in plan.assignments]
             assert len(hs) == sd.l
             assert len(set(hs)) == len(hs)
@@ -254,8 +329,6 @@ def test_json_roundtrip_partial():
 
 
 def test_json_header_fields():
-    import json
-
     sd = to_storage_design(build_scaled_cage(2, 2))
     payload = json.loads(to_json(sd))
     h = payload["header"]
@@ -271,8 +344,42 @@ def test_from_json_rejects_garbage():
         from_json("{}")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p["nodes"][0].__setitem__(1, True),
+        lambda p: p["nodes"][0].__setitem__(1, 1.0),
+        lambda p: p["nodes"][0].__setitem__(1, 1.9),
+        lambda p: p["nodes"][0].__setitem__(1, "1"),
+        lambda p: p["nodes"].__setitem__(0, 5),
+        lambda p: p["nodes"].__setitem__(0, "abc"),
+        lambda p: p["header"].__setitem__("q", 2.0),
+        lambda p: p["header"].__setitem__("num_chunks", 7.0),
+        lambda p: p["header"]["field"].__setitem__("p", 2.9),
+        lambda p: p["header"]["field"].__setitem__("modulus", [0, "1"]),
+    ],
+    ids=["slot-true", "slot-1.0", "slot-1.9", "slot-str", "row-int", "row-str",
+         "q-float", "u-float", "p-float", "modulus-str"],
+)
+def test_from_json_rejects_non_integers(edit):
+    payload = json.loads(to_json(to_storage_design(build_regular_cage(2))))
+    edit(payload)
+    with pytest.raises(InvalidDesign):
+        from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [([0, 1, 7], "out of range"), ([-1, 1, 2], "out of range"), ([0, 1, 1], "repeats")],
+)
+def test_from_json_rejects_bad_slots(row, error):
+    payload = json.loads(to_json(to_storage_design(build_regular_cage(2))))
+    payload["nodes"][0] = row
+    with pytest.raises(InvalidDesign, match=error):
+        from_json(json.dumps(payload))
+
+
 def test_from_json_rejects_bad_replication():
-    import json
 
     sd = to_storage_design(build_regular_cage(2))
     payload = json.loads(to_json(sd))

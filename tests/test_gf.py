@@ -2,7 +2,7 @@
 
 import pytest
 
-from frcage import NotPrimePower, add, field_new, find_primitive_element, mul
+from frcage import NotPrimePower, field_new, find_primitive_element
 
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -74,19 +74,19 @@ def test_modulus_is_irreducible_by_trial_division():
 # ---------------------------------------------------------------------------
 
 def test_add_examples():
-    assert add(field_new(3), 1, 2) == 0
+    assert field_new(3).add(1, 2) == 0
     f4 = field_new(4)
-    assert add(f4, f4.alpha, f4.alpha) == 0
-    assert add(field_new(2), 1, 1) == 0
+    assert f4.add(f4.alpha, f4.alpha) == 0
+    assert field_new(2).add(1, 1) == 0
 
 
 def test_mul_examples():
-    assert mul(field_new(3), 2, 2) == 1
+    assert field_new(3).mul(2, 2) == 1
     f4 = field_new(4)
-    assert mul(f4, f4.alpha, f4.alpha) == 3  # alpha + 1
+    assert f4.mul(f4.alpha, f4.alpha) == 3  # alpha + 1
     for q in (2, 3, 4, 5):
         f = field_new(q)
-        assert all(mul(f, 0, a) == 0 for a in range(q))
+        assert all(f.mul(0, a) == 0 for a in range(q))
 
 
 def test_find_primitive_element_examples():
@@ -127,8 +127,10 @@ def test_alpha_order_and_element_sequence(q):
         assert x != 1, f"alpha has order {j} < q-1"
     assert f.mul(x, f.alpha) == 1
     assert f.elements[0] == 0 and f.elements[1] == 1
+    x = 1
     for i in range(2, q):
-        assert f.elements[i] == f.power(f.alpha, i - 1)
+        x = f.mul(x, f.alpha)
+        assert f.elements[i] == x  # alpha ** (i - 1)
     assert sorted(f.elements) == list(range(q))
 
 
@@ -146,4 +148,8 @@ def test_supported_range_up_to_64():
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
               37, 41, 43, 47, 49, 53, 59, 61, 64):
         f = field_new(q)
-        assert f.order(f.alpha) == q - 1
+        powers = [1]
+        while len(powers) < q:
+            powers.append(f.mul(powers[-1], f.alpha))
+        # alpha has multiplicative order q - 1: alpha**(q-1) is the first power back at 1
+        assert powers[-1] == 1 and 1 not in powers[1:-1]
