@@ -91,7 +91,7 @@ class BipartiteDesign:
         for c, ys in enumerate(self.x_neighbors):
             for g in ys:
                 nbrs[g].append(c)
-        return [tuple(sorted(row)) for row in nbrs]
+        return [tuple(row) for row in nbrs]
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,9 @@ def _expand_design(f: Field, mols: MolsSet, prev: BipartiteDesign) -> BipartiteD
     for blk, src in blocks:
         inherited = src < inherited_sources
         for m, i in order:
-            row = cells[m][i]
+            # blk ascends and ids 1 + g*q + s are grouped by g, so nbrs ascends
             nbrs = tuple(
-                sorted([1 + blk[0] * q + m] + [1 + blk[jp + 1] * q + row[jp] for jp in range(q)])
+                [1 + blk[0] * q + m] + [1 + g * q + s for g, s in zip(blk[1:], cells[m][i])]
             )
             if inherited:
                 cid = prev_layer3[(src, m, i)]
@@ -308,20 +308,15 @@ def b_h_subgraph(d: BipartiteDesign, h: int) -> BipartiteDesign:
 def to_dot(d: BipartiteDesign, name: str = "design") -> str:
     """Graphviz rendering; Y vertices are y<i>, X vertices x<j>.
 
-    Layer annotations come from the design's tags when present and are
-    otherwise derived from root adjacency (the root Y vertex has id 0;
-    X vertices linked to it are layer 1).
+    Layers are derived from root adjacency, which matches the tags of a
+    constructed design: the root Y vertex (id 0) is layer 0, other Y
+    vertices layer 2, X vertices linked to the root layer 1, the rest 3.
     """
     lines = [f"graph {name} {{"]
     for g in range(d.v):
-        layer = d.y_tags[g][0] if d.y_tags is not None else (0 if g == 0 else 2)
-        lines.append(f'  y{g} [shape=circle, layer="{layer}"];')
+        lines.append(f'  y{g} [shape=circle, layer="{0 if g == 0 else 2}"];')
     for c, ys in enumerate(d.x_neighbors):
-        if d.x_tags is not None:
-            layer = d.x_tags[c][0]
-        else:
-            layer = 1 if 0 in ys else 3
-        lines.append(f'  x{c} [shape=box, layer="{layer}"];')
+        lines.append(f'  x{c} [shape=box, layer="{1 if 0 in ys else 3}"];')
     for c, ys in enumerate(d.x_neighbors):
         for g in ys:
             lines.append(f"  y{g} -- x{c};")

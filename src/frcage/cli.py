@@ -13,8 +13,8 @@ import sys
 
 from . import design as design_mod
 from . import verify as verify_mod
-from .cage import build_scaled_cage, to_dot
-from .errors import FrcageError
+from .cage import _resolve_max_edges, build_scaled_cage, to_dot
+from .errors import FrcageError, ResourceLimit
 from .gf import field_new
 from .mols import generate_mols
 
@@ -110,6 +110,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_mols(args) -> int:
+    # q squares of q*q cells; any q that construct accepts has more edges than this
+    cap = _resolve_max_edges(None)
+    if args.q**3 > cap:
+        raise ResourceLimit(f"mols for q={args.q} needs {args.q**3} cells, cap is {cap}")
     mset = generate_mols(field_new(args.q))
     if args.json:
         payload = [[list(row) for row in sq.cells] for sq in mset.squares]

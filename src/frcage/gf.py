@@ -1,15 +1,26 @@
-"""Arithmetic for GF(q) with q a prime or prime power.
+"""Arithmetic for GF(q) with q = p**m a prime or prime power.
 
-Field elements are encoded as integers in [0, q): the element with
-polynomial coordinates (c_0, ..., c_{m-1}) over GF(p) is the integer
-sum(c_i * p**i).  This integer order is the canonical enumeration used
-whenever a "smallest element" is selected, so every choice made here is
-deterministic and reproducible.
+The element with polynomial coordinates (c_0, ..., c_{m-1}) over GF(p)
+is the integer sum(c_i * p**i).  This integer order is the canonical
+enumeration used whenever a "smallest element" is selected, so every
+choice made here is deterministic and reproducible.
 
-Each field also fixes an element sequence e_0, e_1, ..., e_{q-1} with
-e_0 = 0, e_1 = 1 and e_i = alpha**(i-1) for i >= 2, where alpha is the
-smallest primitive element.  The square constructions index symbols by
-position in this sequence.
+Both tables are built row by row from earlier entries, the same way for
+every m (a prime field is m = 1):
+
+  * add[a][b] = (a + b) % p + p * add[a // p][b // p]  (digit-wise);
+  * mul[a][b] = add[mul[a][b-1]][a] for b < p, and otherwise
+    add[xtimes[mul[a][b // p]]][mul[a][b % p]], where xtimes multiplies
+    by x: it shifts the digits up and folds x**m back in as -tail.
+
+The modulus x**m + tail has the smallest encoded tail whose table has
+no zero divisor.  GF(p)[x]/(f) is a field exactly when f is
+irreducible, so this is the lowest monic irreducible of degree m (x for
+m = 1); a reducible candidate fails at the row of its smallest factor.
+
+The element sequence e_0 = 0, e_1 = 1, e_i = alpha**(i-1) for i >= 2,
+with alpha the smallest primitive element, numbers the symbols of the
+square constructions.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ __all__ = [
     "field_new",
     "find_primitive_element",
     "factor_prime_power",
-    "lowest_irreducible",
 ]
 
 
@@ -45,60 +55,28 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-def _poly_mod(poly: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    """Reduce poly (coefficients low to high) modulo a monic modulus."""
-    poly = [c % p for c in poly]
-    deg_mod = len(modulus) - 1
-    for d in range(len(poly) - 1, deg_mod - 1, -1):
-        c = poly[d]
-        if c:
-            poly[d] = 0
-            for t in range(deg_mod):
-                poly[d - deg_mod + t] = (poly[d - deg_mod + t] - c * modulus[t]) % p
-    return poly[:deg_mod]
-
-
-def _poly_divides(div: tuple[int, ...], poly: tuple[int, ...], p: int) -> bool:
-    """True when the monic polynomial div divides poly over GF(p)."""
-    rem = list(poly)
-    while len(rem) >= len(div):
-        c = rem[-1]
-        if c:
-            off = len(rem) - len(div)
-            for t in range(len(div)):
-                rem[off + t] = (rem[off + t] - c * div[t]) % p
-        rem.pop()
-    return all(c == 0 for c in rem)
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of lower half degree."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p**d):
-            coeffs, t = [], enc
-            for _ in range(d):
-                coeffs.append(t % p)
-                t //= p
-            if _poly_divides(tuple(coeffs) + (1,), poly, p):
-                return False
-    return True
-
-
-def lowest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Monic irreducible polynomial of degree m over GF(p) with the
-    smallest integer-encoded tail of non-leading coefficients."""
-    if m == 1:
-        return (0, 1)  # the polynomial x
-    for enc in range(p**m):
-        coeffs, t = [], enc
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        poly = tuple(coeffs) + (1,)
-        if _is_irreducible(poly, p):
-            return poly
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+def _mul_table(add: list[list[int]], p: int, tail: int) -> list[list[int]] | None:
+    """Multiplication table modulo x**m + tail (tail an encoded element),
+    or None at the first row holding a zero divisor."""
+    q = len(add)
+    top = q // p
+    neg_tail = add[tail].index(0)
+    xtimes = [c * p for c in range(top)]  # x * x**(m-1) = -tail
+    for c in range(top, q):
+        xtimes.append(add[xtimes[c - top]][neg_tail])
+    rows = [[0] * q]
+    for a in range(1, q):
+        row = [0]
+        for _ in range(1, p):
+            row.append(add[row[-1]][a])
+        low = tuple(row)
+        for hi in range(1, top):
+            shifted = add[xtimes[row[hi]]]
+            row.extend([shifted[c] for c in low])
+        if row.count(0) > 1:
+            return None
+        rows.append(row)
+    return rows
 
 
 class Field:
@@ -117,39 +95,22 @@ class Field:
         self.q = q
         self.p = p
         self.m = m
-        self.modulus = lowest_irreducible(p, m)
 
-        if m == 1:
-            self._add = tuple(tuple((a + b) % p for b in range(q)) for a in range(q))
-            self._mul = tuple(tuple((a * b) % p for b in range(q)) for a in range(q))
-        else:
-            def decode(e: int) -> list[int]:
-                return [(e // p**i) % p for i in range(m)]
-
-            def encode(cs: list[int]) -> int:
-                return sum(c * p**i for i, c in enumerate(cs))
-
-            def pmul(a: int, b: int) -> int:
-                ca, cb = decode(a), decode(b)
-                prod = [0] * (2 * m - 1)
-                for i, ai in enumerate(ca):
-                    if ai:
-                        for j, bj in enumerate(cb):
-                            prod[i + j] = (prod[i + j] + ai * bj) % p
-                return encode(_poly_mod(prod, self.modulus, p))
-
-            self._add = tuple(
-                tuple(encode([(x + y) % p for x, y in zip(decode(a), decode(b))]) for b in range(q))
-                for a in range(q)
-            )
-            self._mul = tuple(tuple(pmul(a, b) for b in range(q)) for a in range(q))
+        add = [list(range(q))]
+        for a in range(1, q):
+            carry = add[a // p]
+            add.append([(a + b) % p + p * carry[b // p] for b in range(q)])
+        tail = 0
+        while (mul := _mul_table(add, p, tail)) is None:
+            tail += 1
+        self.modulus = self.coeffs(tail) + (1,)
+        self._add = tuple(map(tuple, add))
+        self._mul = tuple(map(tuple, mul))
 
         self.alpha = find_primitive_element(self)
         elements = [0, 1]
-        x = self.alpha
         while len(elements) < q:
-            elements.append(x)
-            x = self._mul[x][self.alpha]
+            elements.append(self._mul[elements[-1]][self.alpha])
         self.elements = tuple(elements)
         if sorted(self.elements) != list(range(q)):
             raise AssertionError("element sequence is not a bijection")

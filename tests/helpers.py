@@ -82,6 +82,62 @@ def storage_from_rows(rows, num_chunks, k, q=3, n=1) -> StorageDesign:
     )
 
 
+def poly_mod(num, den, p: int) -> list[int]:
+    """Remainder of num modulo the monic den over GF(p) by long
+    division; coefficient lists run low degree first."""
+    num = [c % p for c in num]
+    while len(num) >= len(den):
+        c = num[-1]
+        if c:
+            off = len(num) - len(den)
+            for t, dc in enumerate(den):
+                num[off + t] = (num[off + t] - c * dc) % p
+        num.pop()
+    return num
+
+
+def has_monic_factor(poly, p: int) -> bool:
+    """True when some monic polynomial of degree 1..deg/2 divides poly."""
+    deg = len(poly) - 1
+    for d in range(1, deg // 2 + 1):
+        for enc in range(p**d):
+            den = [(enc // p**i) % p for i in range(d)] + [1]
+            if not any(poly_mod(poly, den, p)):
+                return True
+    return False
+
+
+class FieldOracle:
+    """GF(p**m) modulo a given monic polynomial, by schoolbook
+    arithmetic on coefficient lists.  Elements use the library's
+    integer encoding sum(c_i * p**i)."""
+
+    def __init__(self, p: int, m: int, modulus):
+        self.p, self.m, self.modulus = p, m, list(modulus)
+
+    def _digits(self, a: int) -> list[int]:
+        out = []
+        for _ in range(self.m):
+            a, c = divmod(a, self.p)
+            out.append(c)
+        return out
+
+    def _number(self, cs) -> int:
+        return sum(c * self.p**i for i, c in enumerate(cs))
+
+    def add(self, a: int, b: int) -> int:
+        return self._number(
+            (x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))
+        )
+
+    def mul(self, a: int, b: int) -> int:
+        prod = [0] * (2 * self.m - 1)
+        for i, x in enumerate(self._digits(a)):
+            for j, y in enumerate(self._digits(b)):
+                prod[i + j] += x * y
+        return self._number(poly_mod(prod, self.modulus, self.p))
+
+
 def bipartite_isomorphic(d1: BipartiteDesign, d2: BipartiteDesign) -> bool:
     """Backtracking search for a Y-relabeling carrying d1's block
     multiset onto d2's.  Fine for the small designs used in tests."""

@@ -183,6 +183,14 @@ def test_to_dot():
     assert to_dot(d, name="g") == dot
 
 
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2), (9, 1)])
+def test_neighbor_lists_strictly_ascend(q, n):
+    d = build_scaled_cage(q, n)
+    for rows in (d.x_neighbors, d.y_neighbor_lists()):
+        for row in rows:
+            assert all(a < b for a, b in zip(row, row[1:])), row
+
+
 def test_to_dot_derived_layers_match_tags():
     from frcage import incidence_design
 
@@ -190,3 +198,10 @@ def test_to_dot_derived_layers_match_tags():
     rebuilt = incidence_design(to_storage_design(d))
     assert rebuilt.x_tags is None
     assert to_dot(rebuilt) == to_dot(d)
+    # the layers rendered from root adjacency are the construction's tags
+    for q, n in [(2, 1), (2, 3), (3, 2), (4, 1)]:
+        d = build_scaled_cage(q, n)
+        want = [f'  y{g} [shape=circle, layer="{t[0]}"];' for g, t in enumerate(d.y_tags)]
+        want += [f'  x{c} [shape=box, layer="{t[0]}"];' for c, t in enumerate(d.x_tags)]
+        lines = to_dot(d).splitlines()
+        assert lines[1 : 1 + d.v + d.u] == want

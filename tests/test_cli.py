@@ -192,6 +192,19 @@ def test_mols_cli(capsys):
     assert json.loads(out) == GOLDEN_MOLS_Q3
 
 
+def test_mols_is_capped_before_the_field_is_built(capsys, monkeypatch):
+    monkeypatch.delenv("FRC_MAX_EDGES", raising=False)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "mols", "--q", "997")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and err.startswith("ResourceLimit:")
+    code, out, _ = run(capsys, "mols", "--q", "64", "--json")
+    assert code == 0 and len(json.loads(out)) == 64
+    monkeypatch.setenv("FRC_MAX_EDGES", "26")
+    code, _, err = run(capsys, "mols", "--q", "3")
+    assert code == 2 and err.startswith("ResourceLimit:")
+
+
 def test_export_cli(tmp_path, capsys):
     path = tmp_path / "d.json"
     run(capsys, "construct", "--q", "2", "--n", "1", "-o", str(path))

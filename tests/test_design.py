@@ -1,5 +1,6 @@
 """Storage semantics: transpose, growth, partial fill, repair, files."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -335,6 +336,26 @@ def test_json_header_fields():
     assert h["q"] == 2 and h["n"] == 2 and h["k"] == 3 and h["l"] == 7
     assert h["field"] == {"p": 2, "m": 1, "modulus": [0, 1], "primitive": 1}
     assert h["version"] == "1"
+
+
+# sha256 of the construct JSON, pinned on the output of the original
+# polynomial-arithmetic GF(q); a field or cage change that moves any
+# byte of a design fails here.
+CONSTRUCT_SHA256 = {
+    (2, 8): "5f7566883d3f1c3d731c90b3f4c465a3cde93ae9c5c74c0f0234b5d652889dd6",
+    (3, 5): "63df14bc8789b08c1f3e359c0690b6c5b035aca0ab00ea882bd34a2a32a13f00",
+    (4, 4): "1f5a85e51300d4553edde4cffc9c24707d1988afba68dcf83937fbab6a9a225b",
+    (64, 1): "d71a068e6415dc3edabafdc8a7387ef6588abb4e55a4b7876cb82fd96aad9208",
+    (13, 2): "c7de78d3c5e7152162e934f9dcd4db50825584d8f34d9fd1342b06180850b279",
+    (9, 2): "cbd672e0726c34d02dc4e9419b7747b863f4297198df34eba0fe26071f36afeb",
+    (81, 1): "c44993e19199b5735e16c3bb232c2cbdd439c6a7fb0d2316d4e8207c9373bfb1",
+}
+
+
+@pytest.mark.parametrize("q, n", sorted(CONSTRUCT_SHA256))
+def test_construct_json_is_pinned(q, n):
+    text = to_json(to_storage_design(build_scaled_cage(q, n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_SHA256[(q, n)]
 
 
 def test_from_json_rejects_garbage():

@@ -1,10 +1,16 @@
 """Field construction and arithmetic."""
 
+import random
+
 import pytest
 
 from frcage import NotPrimePower, field_new, find_primitive_element
+import helpers
 
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+                   37, 41, 43, 47, 49, 53, 59, 61, 64]
+EXTENSION_FIELDS_256 = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256]
 
 
 def brute_order_mod_p(a: int, p: int) -> int:
@@ -46,27 +52,21 @@ def test_field_new_rejects_non_prime_powers(bad):
 
 
 def test_modulus_is_irreducible_by_trial_division():
-    # independent check: no monic polynomial of degree 1..m-1 divides it
-    for q in (4, 8, 9, 16, 27, 32, 64):
+    # independent check: no monic polynomial of degree 1..m/2 divides it
+    for q in EXTENSION_FIELDS_256:
         f = field_new(q)
-        p, m = f.p, f.m
+        assert not helpers.has_monic_factor(f.modulus, f.p), f"GF({q}) modulus has a factor"
 
-        def poly_mod(num, den):
-            num = list(num)
-            while len(num) >= len(den):
-                c = num[-1]
-                if c:
-                    off = len(num) - len(den)
-                    for t, dc in enumerate(den):
-                        num[off + t] = (num[off + t] - c * dc) % p
-                num.pop()
-            return num
 
-        for d in range(1, m):
-            for enc in range(p**d):
-                coeffs = [(enc // p**i) % p for i in range(d)] + [1]
-                rem = poly_mod(f.modulus, coeffs)
-                assert any(rem), f"GF({q}) modulus has a degree-{d} factor"
+@pytest.mark.parametrize("q", EXTENSION_FIELDS_256)
+def test_modulus_is_the_lowest_irreducible(q):
+    f = field_new(q)
+    p, m = f.p, f.m
+    assert len(f.modulus) == m + 1 and f.modulus[-1] == 1
+    tail = sum(c * p**i for i, c in enumerate(f.modulus[:-1]))
+    for enc in range(tail):
+        smaller = [(enc // p**i) % p for i in range(m)] + [1]
+        assert helpers.has_monic_factor(smaller, p), f"GF({q}): tail {enc} is irreducible"
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,27 @@ def test_mul_examples():
     for q in (2, 3, 4, 5):
         f = field_new(q)
         assert all(f.mul(0, a) == 0 for a in range(q))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_64)
+def test_tables_match_schoolbook_oracle_exhaustive(q):
+    f = field_new(q)
+    oracle = helpers.FieldOracle(f.p, f.m, f.modulus)
+    for a in range(q):
+        for b in range(q):
+            assert f.add(a, b) == oracle.add(a, b), (a, b)
+            assert f.mul(a, b) == oracle.mul(a, b), (a, b)
+
+
+@pytest.mark.parametrize("q", [81, 125, 128, 243, 256])
+def test_tables_match_schoolbook_oracle_sampled(q):
+    f = field_new(q)
+    oracle = helpers.FieldOracle(f.p, f.m, f.modulus)
+    rng = random.Random(q)
+    for _ in range(3000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.add(a, b) == oracle.add(a, b), (a, b)
+        assert f.mul(a, b) == oracle.mul(a, b), (a, b)
 
 
 def test_find_primitive_element_examples():
@@ -145,8 +166,7 @@ def test_coeffs_roundtrip():
 
 
 def test_supported_range_up_to_64():
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
-              37, 41, 43, 47, 49, 53, 59, 61, 64):
+    for q in PRIME_POWERS_64:
         f = field_new(q)
         powers = [1]
         while len(powers) < q:
