@@ -12,7 +12,6 @@ from .cage import (
     BlockCollection,
     b_h_subgraph,
     blocks_from_graph,
-    build_regular_cage,
     build_scaled_cage,
     p_n,
     to_dot,

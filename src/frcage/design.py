@@ -3,9 +3,9 @@
 A storage design reads the bipartite graph transposed: Y vertices are
 storage nodes, X vertices are data chunks, so each chunk has k = q+1
 replicas and each node holds l = p_n(q) chunk slots.  Slots are kept
-in ascending chunk-id order; because expansion only ever appends ids,
-the (q, n-1) table is literally the first l[n-1] columns of the
-(q, n) table restricted to the old node ids.
+in ascending chunk-id order.  The construction only appends chunks
+and never changes an old chunk's nodes, so the (q, n-1) table is the
+first p_{n-1}(q) slots of the first p_n(q) nodes of the (q, n) table.
 """
 
 from __future__ import annotations
@@ -124,8 +124,7 @@ def to_storage_design(d: BipartiteDesign) -> StorageDesign:
 
 
 def incidence_design(sd: StorageDesign) -> BipartiteDesign:
-    """Rebuild the bipartite graph from a complete storage table.
-    Layer tags are not recoverable from the table and stay None."""
+    """Rebuild the bipartite graph from a complete storage table."""
     if not sd.is_complete:
         raise InvalidDesign("cannot rebuild a graph from a partially filled design")
     locs = chunk_locations(sd)
@@ -137,9 +136,6 @@ def incidence_design(sd: StorageDesign) -> BipartiteDesign:
         u=sd.num_chunks,
         v=sd.num_nodes,
         x_neighbors=locs,
-        y_tags=None,
-        x_tags=None,
-        input_blocks=(),
     )
 
 

@@ -52,9 +52,6 @@ def incidence_from_blocks(blocks, num_elements, q=None, n=None) -> BipartiteDesi
         u=len(blocks),
         v=num_elements,
         x_neighbors=tuple(tuple(sorted(b)) for b in blocks),
-        y_tags=None,
-        x_tags=None,
-        input_blocks=(),
     )
 
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 from frcage import (
     b_h_subgraph,
     blocks_from_graph,
-    build_regular_cage,
     build_scaled_cage,
     check_latin,
     check_orthogonal,
@@ -70,16 +69,16 @@ def test_criterion_01_mols_golden():
 
 
 def test_criterion_02_regular_cage_golden():
-    build_regular_cage(2)  # warm
+    build_scaled_cage(2, 1)  # warm
 
     def body():
-        d2 = build_regular_cage(2)
+        d2 = build_scaled_cage(2, 1)
         assert [list(r) for r in to_storage_design(d2).nodes] == GOLDEN_S237
         relabeled = sorted(
             tuple(sorted(X_SIDE_RELABEL_Q2[e] for e in b)) for b in d2.x_neighbors
         )
         assert relabeled == sorted(tuple(b) for b in GOLDEN_S237)
-        d3 = build_regular_cage(3)
+        d3 = build_scaled_cage(3, 1)
         assert d3.u == d3.v == 13
 
     run_criterion(2, "S(2,3,7) table and 13+13 sizes", 0.010, body, best_of=3)
@@ -200,7 +199,7 @@ def test_criterion_09_partial_fill():
 def test_criterion_10_subgraph_isomorphism():
     def body():
         d = build_scaled_cage(2, 2)
-        cage = build_regular_cage(2)
+        cage = build_scaled_cage(2, 1)
         for h in range(7):
             sub = b_h_subgraph(d, h)
             assert helpers.bipartite_isomorphic(sub, cage), h

@@ -1,15 +1,19 @@
 """Cage construction: sizes, golden tables, subgraphs, determinism."""
 
+from dataclasses import replace
+
 import pytest
 
 from frcage import (
+    BipartiteDesign,
     IndexOutOfRange,
     NotPrimePower,
     ResourceLimit,
     b_h_subgraph,
     blocks_from_graph,
-    build_regular_cage,
     build_scaled_cage,
+    chunks_per_iteration,
+    incidence_design,
     p_n,
     to_dot,
     to_storage_design,
@@ -31,7 +35,7 @@ def test_p_n_values():
 
 
 def test_regular_cage_q2_golden():
-    d = build_regular_cage(2)
+    d = build_scaled_cage(2, 1)
     assert (d.u, d.v, d.k, d.l) == (7, 7, 3, 3)
     assert [list(r) for r in to_storage_design(d).nodes] == GOLDEN_S237
     # the X-side list carries the same system under the documented relabeling
@@ -42,14 +46,14 @@ def test_regular_cage_q2_golden():
 
 
 def test_regular_cage_q3_sizes():
-    d = build_regular_cage(3)
+    d = build_scaled_cage(3, 1)
     assert d.u == d.v == 13
     assert d.k == d.l == 4
     assert all(len(b) == 4 for b in d.x_neighbors)
 
 
 def test_regular_cage_q4_degrees_and_girth():
-    d = build_regular_cage(4)
+    d = build_scaled_cage(4, 1)
     assert d.u == d.v == 21
     assert all(len(b) == 5 for b in d.x_neighbors)
     assert helpers.naive_no_four_cycles(d)
@@ -57,17 +61,12 @@ def test_regular_cage_q4_degrees_and_girth():
 
 def test_regular_cage_rejects_non_prime_power():
     with pytest.raises(NotPrimePower):
-        build_regular_cage(6)
+        build_scaled_cage(6, 1)
 
 
 def test_scaled_cage_q2_n2_parameters():
     d = build_scaled_cage(2, 2)
     assert (d.v, d.u, d.k, d.l) == (15, 35, 3, 7)
-
-
-def test_scaled_cage_n1_equals_regular_cage():
-    for q in (2, 3, 4):
-        assert build_scaled_cage(q, 1) == build_regular_cage(q)
 
 
 def test_scaled_cage_q3_n2():
@@ -90,7 +89,7 @@ def test_resource_limit():
 
 
 def test_blocks_from_graph_sides():
-    d1 = build_regular_cage(2)
+    d1 = build_scaled_cage(2, 1)
     bx = blocks_from_graph(d1, "X")
     assert bx.num_elements == 7 and bx.block_size == 3 and len(bx.blocks) == 7
     d2 = build_scaled_cage(2, 2)
@@ -114,14 +113,45 @@ def test_blocks_sides_are_mutual_transposes(q, n):
             assert y in bx[x]
 
 
+def layer1_ids(q, n):
+    """Closed-form chunk ids of the layer-1 rows: id 0 (j = 0), then
+    the rows j in [p_{i-1}(q), p_i(q)) appended first by iteration i."""
+    ids = [0]
+    for i in range(1, n + 1):
+        u = chunks_per_iteration(q, i - 1)
+        ids.extend(range(u, u + p_n(q, i) - p_n(q, i - 1)))
+    return ids
+
+
+def layer1_row(q, j):
+    return (0,) + tuple(1 + j * q + m for m in range(q))
+
+
 def test_layer_tags_partition():
-    d = build_scaled_cage(3, 2)
-    layer1 = [t for t in d.x_tags if t[0] == 1]
-    layer3 = [t for t in d.x_tags if t[0] == 3]
-    assert len(layer1) == d.l and len(layer3) == d.u - d.l
-    assert d.y_tags[0] == (0,)
-    assert all(t[0] == 2 for t in d.y_tags[1:])
-    assert len(d.input_blocks) == 13  # chunk count of the previous iteration
+    for q, n in [(3, 2), (2, 3)]:
+        d = build_scaled_cage(q, n)
+        on_root = [c for c, ys in enumerate(d.x_neighbors) if 0 in ys]
+        assert len(on_root) == d.l
+        assert on_root == layer1_ids(q, n)
+        # the rows on the root are x_0, x_1, ... in id order
+        assert [d.x_neighbors[c] for c in on_root] == [layer1_row(q, j) for j in range(d.l)]
+        # every other Y vertex is a layer-2 child of exactly one of them
+        assert sorted(y for c in on_root for y in d.x_neighbors[c][1:]) == list(range(1, d.v))
+
+
+@pytest.mark.parametrize(
+    "q, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)]
+)
+def test_growth_appends(q, n):
+    small, big = build_scaled_cage(q, n), build_scaled_cage(q, n + 1)
+    u = chunks_per_iteration(q, n)
+    assert small.u == u
+    assert small.x_neighbors == big.x_neighbors[:u]
+    # the first ids appended are the new layer-1 rows, in order
+    new_layer1 = range(p_n(q, n), p_n(q, n + 1))
+    appended = big.x_neighbors[u : u + len(new_layer1)]
+    assert appended == tuple(layer1_row(q, j) for j in new_layer1)
+    assert all(0 not in ys for ys in big.x_neighbors[u + len(new_layer1) :])
 
 
 def test_determinism():
@@ -142,7 +172,7 @@ def test_golden_q2_n2_table():
 
 def test_b_h_subgraph_isomorphic_to_regular_cage():
     d = build_scaled_cage(2, 2)
-    cage = build_regular_cage(2)
+    cage = build_scaled_cage(2, 1)
     for h in range(7):
         sub = b_h_subgraph(d, h)
         assert (sub.u, sub.v, sub.k, sub.l) == (7, 7, 3, 3)
@@ -152,7 +182,7 @@ def test_b_h_subgraph_isomorphic_to_regular_cage():
 def test_b_h_subgraph_block_zero_is_literal():
     # the first driving block is 0..q, so its subgraph is the cage itself
     d = build_scaled_cage(2, 2)
-    assert b_h_subgraph(d, 0).x_neighbors == build_regular_cage(2).x_neighbors
+    assert b_h_subgraph(d, 0).x_neighbors == build_scaled_cage(2, 1).x_neighbors
 
 
 def test_b_h_subgraph_errors():
@@ -162,20 +192,53 @@ def test_b_h_subgraph_errors():
     with pytest.raises(IndexOutOfRange):
         b_h_subgraph(d, -1)
     with pytest.raises(ValueError):
-        b_h_subgraph(build_regular_cage(2), 0)
+        b_h_subgraph(build_scaled_cage(2, 1), 0)
+    # a (2, 2) table whose header claims n = 4 has no chunk 40
+    short = incidence_design(replace(to_storage_design(d), n=4))
+    with pytest.raises(ValueError, match="needs over 155 chunks"):
+        b_h_subgraph(short, 40)
 
 
 def test_b_h_subgraph_q3():
     d = build_scaled_cage(3, 2)
-    cage = build_regular_cage(3)
+    cage = build_scaled_cage(3, 1)
     for h in (0, 5, 12):
         sub = b_h_subgraph(d, h)
         assert (sub.u, sub.v) == (13, 13)
         assert helpers.bipartite_isomorphic(sub, cage)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_b_h_subgraph_of_rebuilt_design(q):
+    d = build_scaled_cage(q, 2)
+    rebuilt = incidence_design(to_storage_design(d))
+    for h in range(p_n(q, 2)):
+        assert b_h_subgraph(rebuilt, h) == b_h_subgraph(d, h)
+
+
+def test_b_h_subgraph_group_is_checked():
+    d = build_scaled_cage(2, 2)
+
+    def nodes(ys):
+        return tuple(sorted({(y - 1) // 2 for y in ys}))
+
+    # swap the last Y vertex of two layer-3 rows from different groups
+    rows = [list(ys) for ys in d.x_neighbors]
+    layer3 = [c for c, ys in enumerate(rows) if 0 not in ys]
+    a = layer3[0]
+    b = next(c for c in layer3 if (rows[c][-1] - 1) // 2 != (rows[a][-1] - 1) // 2)
+    rows[a][-1], rows[b][-1] = rows[b][-1], rows[a][-1]
+    tampered = BipartiteDesign(
+        q=2, n=2, k=3, l=7, u=d.u, v=d.v, x_neighbors=tuple(tuple(sorted(r)) for r in rows)
+    )
+    for c in (a, b):
+        h = d.x_neighbors.index(nodes(d.x_neighbors[c]))
+        with pytest.raises(ValueError, match="layer-3 chunks"):
+            b_h_subgraph(tampered, h)
+
+
 def test_to_dot():
-    d = build_regular_cage(2)
+    d = build_scaled_cage(2, 1)
     dot = to_dot(d, name="g")
     assert dot.startswith("graph g {")
     assert "y0 -- x0;" in dot
@@ -192,16 +255,18 @@ def test_neighbor_lists_strictly_ascend(q, n):
 
 
 def test_to_dot_derived_layers_match_tags():
-    from frcage import incidence_design
-
     d = build_scaled_cage(2, 2)
     rebuilt = incidence_design(to_storage_design(d))
-    assert rebuilt.x_tags is None
+    assert rebuilt == d  # no layer structure is lost on the round trip
     assert to_dot(rebuilt) == to_dot(d)
-    # the layers rendered from root adjacency are the construction's tags
+    # the rendered layers are the construction's: the root is layer 0,
+    # every other Y vertex layer 2, the closed-form layer-1 ids layer 1
     for q, n in [(2, 1), (2, 3), (3, 2), (4, 1)]:
         d = build_scaled_cage(q, n)
-        want = [f'  y{g} [shape=circle, layer="{t[0]}"];' for g, t in enumerate(d.y_tags)]
-        want += [f'  x{c} [shape=box, layer="{t[0]}"];' for c, t in enumerate(d.x_tags)]
+        layer1 = set(layer1_ids(q, n))
+        want = [f'  y{g} [shape=circle, layer="{0 if g == 0 else 2}"];' for g in range(d.v)]
+        want += [
+            f'  x{c} [shape=box, layer="{1 if c in layer1 else 3}"];' for c in range(d.u)
+        ]
         lines = to_dot(d).splitlines()
         assert lines[1 : 1 + d.v + d.u] == want

@@ -226,10 +226,14 @@ def test_env_edge_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_over_cap_construct_is_refused_fast(capsys):
-    t0 = time.perf_counter()
-    code, _, err = run(capsys, "construct", "--q", "512", "--n", "1")
-    assert time.perf_counter() - t0 < 1.0
-    assert code == 2 and "ResourceLimit" in err
+    # 2**61 - 1 is a prime: the cap is checked before q is factored
+    for q in (512, 2**61 - 1):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "construct", "--q", str(q), "--n", "1")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and "ResourceLimit" in err
+    code, _, err = run(capsys, "construct", "--q", "1", "--n", "1")
+    assert code == 2 and err.startswith("NotPrimePower:")
 
 
 def test_bad_parameters_exit_2_named(tmp_path, capsys, monkeypatch):

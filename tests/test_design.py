@@ -17,7 +17,6 @@ from frcage import (
     OutOfRange,
     ResourceLimit,
     StorageDesign,
-    build_regular_cage,
     build_scaled_cage,
     check_partial_invariants,
     chunk_locations,
@@ -44,7 +43,7 @@ def test_to_storage_design_q2_n2_golden():
 
 
 def test_to_storage_design_q2_n1_golden():
-    sd = to_storage_design(build_regular_cage(2))
+    sd = to_storage_design(build_scaled_cage(2, 1))
     assert [list(r) for r in sd.nodes] == GOLDEN_S237
     assert (sd.num_nodes, sd.num_chunks, sd.k) == (7, 7, 3)
 
@@ -88,7 +87,7 @@ def test_chunk_locations_match_rows(q, n):
 # ---------------------------------------------------------------------------
 
 def test_expand_q2_keeps_prefixes():
-    old = to_storage_design(build_regular_cage(2))
+    old = to_storage_design(build_scaled_cage(2, 1))
     new = expand(old)
     assert (new.num_nodes, new.num_chunks, new.k, new.l) == (15, 35, 3, 7)
     for g, row in enumerate(old.nodes):
@@ -112,7 +111,7 @@ def test_expand_q3_result_verifies():
 
 
 def test_expand_rejects_tampered_design():
-    sd = to_storage_design(build_regular_cage(2))
+    sd = to_storage_design(build_scaled_cage(2, 1))
     rows = list(sd.nodes)
     rows[1], rows[2] = rows[2], rows[1]
     tampered = StorageDesign(
@@ -166,7 +165,7 @@ def test_over_cap_expand_builds_nothing(monkeypatch):
 
 
 def test_expand_rejects_foreign_provenance():
-    sd = to_storage_design(build_regular_cage(2))
+    sd = to_storage_design(build_scaled_cage(2, 1))
     foreign = StorageDesign(
         q=sd.q, n=sd.n, k=sd.k, l=sd.l,
         num_nodes=sd.num_nodes, num_chunks=sd.num_chunks,
@@ -248,7 +247,7 @@ def test_partial_fill_steiner_on_present_chunks():
 # ---------------------------------------------------------------------------
 
 def test_repair_plan_golden_example():
-    sd = to_storage_design(build_regular_cage(2))
+    sd = to_storage_design(build_scaled_cage(2, 1))
     plan = repair_plan(sd, 0)
     assert plan.assignments == ((0, 1), (1, 3), (2, 5))
 
@@ -294,7 +293,7 @@ def test_repair_plan_on_partial_design():
 
 
 def test_repair_plan_errors():
-    sd = to_storage_design(build_regular_cage(2))
+    sd = to_storage_design(build_scaled_cage(2, 1))
     with pytest.raises(NodeOutOfRange):
         repair_plan(sd, 7)
     with pytest.raises(NodeOutOfRange):
@@ -383,7 +382,7 @@ def test_from_json_rejects_garbage():
          "q-float", "u-float", "p-float", "modulus-str"],
 )
 def test_from_json_rejects_non_integers(edit):
-    payload = json.loads(to_json(to_storage_design(build_regular_cage(2))))
+    payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 1))))
     edit(payload)
     with pytest.raises(InvalidDesign):
         from_json(json.dumps(payload))
@@ -394,7 +393,7 @@ def test_from_json_rejects_non_integers(edit):
     [([0, 1, 7], "out of range"), ([-1, 1, 2], "out of range"), ([0, 1, 1], "repeats")],
 )
 def test_from_json_rejects_bad_slots(row, error):
-    payload = json.loads(to_json(to_storage_design(build_regular_cage(2))))
+    payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 1))))
     payload["nodes"][0] = row
     with pytest.raises(InvalidDesign, match=error):
         from_json(json.dumps(payload))
@@ -402,7 +401,7 @@ def test_from_json_rejects_bad_slots(row, error):
 
 def test_from_json_rejects_bad_replication():
 
-    sd = to_storage_design(build_regular_cage(2))
+    sd = to_storage_design(build_scaled_cage(2, 1))
     payload = json.loads(to_json(sd))
     payload["nodes"][0][0] = 3  # chunk 3 gains a 4th replica, chunk 0 loses one
     with pytest.raises(InvalidDesign):
@@ -410,7 +409,7 @@ def test_from_json_rejects_bad_replication():
 
 
 def test_csv_layout():
-    sd = to_storage_design(build_regular_cage(2))
+    sd = to_storage_design(build_scaled_cage(2, 1))
     lines = to_csv(sd).splitlines()
     assert lines[0] == "0,0,1,2"
     assert lines[1] == "1,0,3,6"

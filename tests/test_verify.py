@@ -13,7 +13,6 @@ from frcage import (
     BipartiteDesign,
     InvalidDegrees,
     blocks_from_graph,
-    build_regular_cage,
     build_scaled_cage,
     check_partial_invariants,
     check_steiner_exact,
@@ -57,7 +56,7 @@ def test_moore_bounds_rejects_bad_degrees():
 # ---------------------------------------------------------------------------
 
 def test_girth_on_constructions():
-    ok, w = girth_at_least_six(build_regular_cage(3))
+    ok, w = girth_at_least_six(build_scaled_cage(3, 1))
     assert ok and w is None
     ok, w = girth_at_least_six(helpers.incidence_from_blocks(GOLDEN_S239, 9))
     assert ok and w is None
@@ -76,8 +75,8 @@ def test_girth_duplicate_block_witness():
 
 def test_girth_matches_naive_enumerator():
     designs = [
-        build_regular_cage(2),
-        build_regular_cage(3),
+        build_scaled_cage(2, 1),
+        build_scaled_cage(3, 1),
         build_scaled_cage(2, 2),
         helpers.incidence_from_blocks(GOLDEN_S239, 9),
         helpers.incidence_from_blocks(GOLDEN_S237 + [GOLDEN_S237[3]], 7),
@@ -130,19 +129,19 @@ def test_verify_design_on_scaled_cage():
 
 
 def test_verify_design_on_regular_cage_q5():
-    d = build_regular_cage(5)
+    d = build_scaled_cage(5, 1)
     assert d.u == d.v == 31
     rep = verify_design(d)
     assert rep.all_ok
 
 
 def test_verify_design_missing_edge():
-    d = build_regular_cage(2)
+    d = build_scaled_cage(2, 1)
     mutated = list(d.x_neighbors)
     mutated[0] = mutated[0][:-1]  # drop one edge
     broken = BipartiteDesign(
         q=2, n=1, k=3, l=3, u=7, v=7,
-        x_neighbors=tuple(mutated), y_tags=None, x_tags=None,
+        x_neighbors=tuple(mutated),
     )
     rep = verify_design(broken)
     assert not rep.degrees_ok
@@ -167,7 +166,7 @@ def test_verify_design_incomplete_cover():
 
 
 def test_report_dict_shape():
-    rep = verify_design(build_regular_cage(2))
+    rep = verify_design(build_scaled_cage(2, 1))
     d = rep.as_dict()
     assert d["all_ok"] is True
     assert set(d) == {"girth_ok", "degrees_ok", "steiner_exact", "bounds_tight", "all_ok", "witnesses"}
@@ -181,7 +180,7 @@ def test_steiner_block_repeating_an_element():
 
 
 def test_verify_design_wide_regular_cage_time():
-    d = build_regular_cage(64)
+    d = build_scaled_cage(64, 1)
     t0 = time.perf_counter()
     assert verify_design(d).all_ok
     assert time.perf_counter() - t0 < 5.0
