@@ -11,7 +11,6 @@ from .cage import (
     BipartiteDesign,
     BlockCollection,
     b_h_subgraph,
-    blocks_from_graph,
     build_scaled_cage,
     p_n,
     to_dot,

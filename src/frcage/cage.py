@@ -37,7 +37,6 @@ __all__ = [
     "BlockCollection",
     "p_n",
     "build_scaled_cage",
-    "blocks_from_graph",
     "b_h_subgraph",
     "to_dot",
     "DEFAULT_MAX_EDGES",
@@ -76,14 +75,6 @@ class BipartiteDesign:
     v: int
     x_neighbors: tuple[tuple[int, ...], ...]
     gf: Field | None = field(default=None, compare=False, repr=False)
-
-    def y_neighbor_lists(self) -> list[tuple[int, ...]]:
-        """Adjacency of each Y vertex (ascending X ids), computed fresh."""
-        nbrs: list[list[int]] = [[] for _ in range(self.v)]
-        for c, ys in enumerate(self.x_neighbors):
-            for g in ys:
-                nbrs[g].append(c)
-        return [tuple(row) for row in nbrs]
 
 
 @dataclass(frozen=True)
@@ -162,18 +153,6 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> Bipartite
     return BipartiteDesign(
         q=q, n=n, k=q + 1, l=l, u=len(x), v=1 + q * l, x_neighbors=tuple(x), gf=f
     )
-
-
-def blocks_from_graph(d: BipartiteDesign, side: str) -> BlockCollection:
-    """Blocks read off one side: "X" gives each X vertex's Y-neighbors
-    (elements are Y ids), "Y" the transpose interpretation."""
-    if side == "X":
-        return BlockCollection(num_elements=d.v, block_size=d.k, blocks=d.x_neighbors)
-    if side == "Y":
-        return BlockCollection(
-            num_elements=d.u, block_size=d.l, blocks=tuple(d.y_neighbor_lists())
-        )
-    raise ValueError(f"side must be 'X' or 'Y', got {side!r}")
 
 
 def b_h_subgraph(d: BipartiteDesign, h: int) -> BipartiteDesign:

@@ -11,7 +11,7 @@ first p_{n-1}(q) slots of the first p_n(q) nodes of the (q, n) table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 from .cage import BipartiteDesign, build_scaled_cage, p_n
@@ -21,6 +21,7 @@ from .errors import (
     NoSurvivingReplica,
     NodeOutOfRange,
     NotCanonical,
+    NotPrimePower,
     OutOfRange,
 )
 from .gf import Field, field_new
@@ -84,19 +85,13 @@ class StorageDesign:
 
     @property
     def is_complete(self) -> bool:
-        return all(slot is not None for row in self.nodes for slot in row)
+        return not any(None in row for row in self.nodes)
 
     @cached_property
     def locations(self) -> tuple[tuple[int, ...], ...]:
         """Chunk-location index, built on first use and kept for the
         life of the design; see chunk_locations."""
-        locs: list[list[int]] = [[] for _ in range(self.num_chunks)]
-        # rows are walked in ascending node order, so holders come out sorted
-        for g, row in enumerate(self.nodes):
-            for c in row:
-                if c is not None:
-                    locs[c].append(g)
-        return tuple(map(tuple, locs))
+        return _transpose(self.nodes, self.num_chunks)
 
 
 @dataclass(frozen=True)
@@ -107,18 +102,24 @@ class RepairPlan:
     assignments: tuple[tuple[int, int], ...]
 
 
+def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
+    """out[j] lists the indices i of the rows holding j, ascending
+    (rows are walked in order); None entries are skipped."""
+    out: list[list[int]] = [[] for _ in range(size)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j is not None:
+                out[j].append(i)
+    return tuple(map(tuple, out))
+
+
 def to_storage_design(d: BipartiteDesign) -> StorageDesign:
     """Transpose a constructed design into its node/chunk table."""
     if d.q is None or d.n is None:
         raise ValueError("storage view needs a design with (q, n) metadata")
     return StorageDesign(
-        q=d.q,
-        n=d.n,
-        k=d.k,
-        l=d.l,
-        num_nodes=d.v,
-        num_chunks=d.u,
-        nodes=tuple(d.y_neighbor_lists()),
+        q=d.q, n=d.n, k=d.k, l=d.l, num_nodes=d.v, num_chunks=d.u,
+        nodes=_transpose(d.x_neighbors, d.v),
         field_meta=FieldMeta.of(d.gf if d.gf is not None else field_new(d.q)),
     )
 
@@ -127,15 +128,9 @@ def incidence_design(sd: StorageDesign) -> BipartiteDesign:
     """Rebuild the bipartite graph from a complete storage table."""
     if not sd.is_complete:
         raise InvalidDesign("cannot rebuild a graph from a partially filled design")
-    locs = chunk_locations(sd)
     return BipartiteDesign(
-        q=sd.q,
-        n=sd.n,
-        k=sd.k,
-        l=sd.l,
-        u=sd.num_chunks,
-        v=sd.num_nodes,
-        x_neighbors=locs,
+        q=sd.q, n=sd.n, k=sd.k, l=sd.l, u=sd.num_chunks, v=sd.num_nodes,
+        x_neighbors=chunk_locations(sd),
     )
 
 
@@ -203,12 +198,17 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
 def repair_plan(sd: StorageDesign, failed: int, policy: str = "lowest") -> RepairPlan:
     """Pick one distinct helper node per chunk of the failed node.
 
-    "lowest" always takes the smallest surviving holder id; the
-    "round-robin" policy rotates through the holders by slot position
-    to spread load across repeated failures.  Helpers are distinct
-    because two chunks of one node never share another holder, or that
-    holder and the failed node would share a chunk pair; a table that
-    breaks this raises InvalidDesign.
+    "lowest" always takes the smallest surviving holder id, so over all
+    num_nodes single-node failures of a complete canonical table, node
+    0 serves q*l requests.  "round-robin" takes the failed node's
+    successor on the chunk's ascending holder ring (the next larger
+    holder, else the smallest).  Each holder of a chunk is then the
+    successor of exactly one other holder, so over all single-node
+    failures every node serves one request per chunk it holds: exactly
+    l on a complete table, at most l on a partial one.  Helpers are
+    distinct because two chunks of one node never share another holder,
+    or that holder and the failed node would share a chunk pair; a
+    table that breaks this raises InvalidDesign.
     """
     if not 0 <= failed < sd.num_nodes:
         raise NodeOutOfRange(f"node id must be in [0, {sd.num_nodes}), got {failed}")
@@ -217,7 +217,7 @@ def repair_plan(sd: StorageDesign, failed: int, policy: str = "lowest") -> Repai
     locs = chunk_locations(sd)
     assignments = []
     used = set()
-    for slot, chunk in enumerate(sd.nodes[failed]):
+    for chunk in sd.nodes[failed]:
         if chunk is None:
             continue
         survivors = [g for g in locs[chunk] if g != failed]
@@ -226,7 +226,7 @@ def repair_plan(sd: StorageDesign, failed: int, policy: str = "lowest") -> Repai
         if policy == "lowest":
             helper = survivors[0]
         else:
-            helper = survivors[slot % len(survivors)]
+            helper = next((g for g in survivors if g > failed), survivors[0])
         if helper in used:
             raise InvalidDesign(f"node {failed} shares two chunks with node {helper}")
         used.add(helper)
@@ -234,58 +234,58 @@ def repair_plan(sd: StorageDesign, failed: int, policy: str = "lowest") -> Repai
     return RepairPlan(failed_node=failed, assignments=tuple(assignments))
 
 
+def _replica_defect(sd: StorageDesign):
+    """(chunk, replicas) for the first present chunk without exactly k
+    replicas, else None."""
+    for c, holders in enumerate(chunk_locations(sd)):
+        if holders and len(holders) != sd.k:
+            return c, len(holders)
+    return None
+
+
 def check_partial_invariants(sd: StorageDesign):
-    """(ok, detail) for possibly partially-filled tables: present
-    chunks keep exactly k replicas, slots within a node are distinct,
-    and no two nodes share more than one chunk."""
-    detail: dict = {}
-    ok = True
+    """(ok, detail) for possibly partially-filled tables, stopping at the
+    first defect: a node repeats a chunk ("duplicate_slot": (node,)), a
+    present chunk lacks k replicas ("replicas": (chunk, count)), or nodes
+    a < b share chunks c0 < c ("overlap": (a, b, c0, c)).  detail is
+    empty when ok."""
     for g, row in enumerate(sd.nodes):
         present = [c for c in row if c is not None]
         if len(set(present)) != len(present):
-            ok = False
-            detail["duplicate_slot"] = (g,)
-            break
-    if ok:
-        for c, holders in enumerate(chunk_locations(sd)):
-            if holders and len(holders) != sd.k:
-                ok = False
-                detail["replicas"] = (c, len(holders))
-                break
-    if ok:
-        w = _first_repeat(chunk_locations(sd), sd.num_nodes)
-        if w is not None:
-            ok = False
-            c0, a, c, b = w
-            detail["overlap"] = (a, b, c0, c)
-    return ok, detail
+            return False, {"duplicate_slot": (g,)}
+    bad = _replica_defect(sd)
+    if bad is not None:
+        return False, {"replicas": bad}
+    w = _first_repeat(chunk_locations(sd), sd.num_nodes)
+    if w is not None:
+        c0, a, c, b = w
+        return False, {"overlap": (a, b, c0, c)}
+    return True, {}
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
+def _int(x):
+    """Header integers must be JSON integers; true and 2.9 are refused."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+# Header key -> parser.  Each key is a StorageDesign field; "field"
+# holds asdict(field_meta) next to them.
+_HEADER = {"version": str, "construction": str} | dict.fromkeys(
+    ("q", "n", "k", "l", "num_nodes", "num_chunks"), _int
+)
+
+
 def to_json(sd: StorageDesign) -> str:
     """Canonical JSON: header plus node rows, empty slots as null."""
-    payload = {
-        "header": {
-            "version": sd.version,
-            "construction": sd.construction,
-            "q": sd.q,
-            "n": sd.n,
-            "k": sd.k,
-            "l": sd.l,
-            "num_nodes": sd.num_nodes,
-            "num_chunks": sd.num_chunks,
-            "field": {
-                "p": sd.field_meta.p,
-                "m": sd.field_meta.m,
-                "modulus": list(sd.field_meta.modulus),
-                "primitive": sd.field_meta.primitive,
-            },
-        },
-        "nodes": [list(row) for row in sd.nodes],
-    }
+    header = {key: getattr(sd, key) for key in _HEADER}
+    header["field"] = asdict(sd.field_meta)
+    payload = {"header": header, "nodes": sd.nodes}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -299,21 +299,12 @@ def from_json(text: str) -> StorageDesign:
         header = payload["header"]
         fmeta = header["field"]
         sd = StorageDesign(
-            q=_int(header["q"]),
-            n=_int(header["n"]),
-            k=_int(header["k"]),
-            l=_int(header["l"]),
-            num_nodes=_int(header["num_nodes"]),
-            num_chunks=_int(header["num_chunks"]),
+            **{key: parse(header[key]) for key, parse in _HEADER.items()},
             nodes=tuple(map(tuple, payload["nodes"])),
             field_meta=FieldMeta(
-                p=_int(fmeta["p"]),
-                m=_int(fmeta["m"]),
-                modulus=tuple(map(_int, fmeta["modulus"])),
-                primitive=_int(fmeta["primitive"]),
+                p=_int(fmeta["p"]), m=_int(fmeta["m"]),
+                modulus=tuple(map(_int, fmeta["modulus"])), primitive=_int(fmeta["primitive"]),
             ),
-            version=str(header["version"]),
-            construction=str(header["construction"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDesign(f"malformed design payload: {exc}") from exc
@@ -321,16 +312,11 @@ def from_json(text: str) -> StorageDesign:
     return sd
 
 
-def _int(x):
-    """Header integers must be JSON integers; true and 2.9 are refused."""
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
-
-
 def _validate(sd: StorageDesign) -> None:
     if len(sd.nodes) != sd.num_nodes:
         raise InvalidDesign(f"expected {sd.num_nodes} nodes, found {len(sd.nodes)}")
+    if sd.construction == CONSTRUCTION:
+        _check_header(sd)
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
@@ -342,9 +328,29 @@ def _validate(sd: StorageDesign) -> None:
             raise InvalidDesign(f"node {g} references a chunk id out of range")
         if len(present) != sd.l - row.count(None):
             raise InvalidDesign(f"node {g} repeats a chunk id")
-    for c, holders in enumerate(chunk_locations(sd)):
-        if holders and len(holders) != sd.k:
-            raise InvalidDesign(f"chunk {c} has {len(holders)} replicas, expected {sd.k}")
+    bad = _replica_defect(sd)
+    if bad is not None:
+        raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")
+
+
+def _check_header(sd: StorageDesign) -> None:
+    """A canonical header is fixed by (q, n): k = q+1, l = p_n(q),
+    num_nodes = p_{n+1}(q), num_chunks = chunks_per_iteration(q, n),
+    n >= 1 and field_meta = FieldMeta.of(field_new(q))."""
+    q, n, v = sd.q, sd.n, sd.num_nodes
+    # p_{n+1}(q) exceeds both q and 2**(n+1), so these bounds keep p_n
+    # and GF(q) small for any header that could match the row count.
+    if not (2 <= q < v and 1 <= n < v.bit_length()):
+        raise InvalidDesign(f"(q={q}, n={n}) cannot describe {v} nodes")
+    want = (q + 1, p_n(q, n), p_n(q, n + 1), chunks_per_iteration(q, n))
+    if (sd.k, sd.l, v, sd.num_chunks) != want:
+        raise InvalidDesign(f"(q={q}, n={n}) gives (k, l, num_nodes, num_chunks) = {want}")
+    try:
+        field = FieldMeta.of(field_new(q))
+    except NotPrimePower as exc:
+        raise InvalidDesign(f"header q={q} is not a prime power") from exc
+    if sd.field_meta != field:
+        raise InvalidDesign(f"field metadata does not match GF({q})")
 
 
 def to_csv(sd: StorageDesign) -> str:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cage import BipartiteDesign, BlockCollection, blocks_from_graph
+from .cage import BipartiteDesign, BlockCollection
 from .errors import InvalidDegrees
 
 __all__ = [
@@ -194,7 +194,7 @@ def verify_design(d: BipartiteDesign) -> VerificationReport:
     if w is not None:
         witnesses["four_cycle"] = w
 
-    steiner_ok, w = check_steiner_exact(blocks_from_graph(d, "X"))
+    steiner_ok, w = check_steiner_exact(BlockCollection(d.v, d.k, d.x_neighbors))
     if w is not None:
         witnesses["pair"] = w
 

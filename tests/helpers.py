@@ -8,7 +8,7 @@ behind a matching bug in its checker.
 from collections import Counter
 from itertools import combinations
 
-from frcage import BipartiteDesign, FieldMeta, StorageDesign, field_new
+from frcage import BipartiteDesign, FieldMeta, StorageDesign, field_new, repair_plan
 
 
 def naive_no_four_cycles(d: BipartiteDesign) -> bool:
@@ -62,6 +62,23 @@ def holders_from_rows(rows, num_chunks) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(g for g, row in enumerate(sets) if c in row) for c in range(num_chunks)
     )
+
+
+def ring_successor(holders, failed: int) -> int:
+    """The holder after `failed` in ascending order, wrapping around to
+    the first."""
+    ring = sorted(holders)
+    return ring[(ring.index(failed) + 1) % len(ring)]
+
+
+def helper_loads(sd: StorageDesign, policy: str) -> list[int]:
+    """Requests each node serves, summed over the repair plans of all
+    num_nodes single-node failures."""
+    loads = [0] * sd.num_nodes
+    for failed in range(sd.num_nodes):
+        for _, helper in repair_plan(sd, failed, policy=policy).assignments:
+            loads[helper] += 1
+    return loads
 
 
 def storage_from_rows(rows, num_chunks, k, q=3, n=1) -> StorageDesign:

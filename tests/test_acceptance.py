@@ -8,8 +8,8 @@ import time
 from fractions import Fraction
 
 from frcage import (
+    BlockCollection,
     b_h_subgraph,
-    blocks_from_graph,
     build_scaled_cage,
     check_latin,
     check_orthogonal,
@@ -119,7 +119,7 @@ def test_criterion_05_girth_and_steiner_oracles():
             d = build_scaled_cage(q, n)
             ok, witness = girth_at_least_six(d)
             assert ok, (q, n, witness)
-            ok, witness = check_steiner_exact(blocks_from_graph(d, "X"))
+            ok, witness = check_steiner_exact(BlockCollection(d.v, d.k, d.x_neighbors))
             assert ok, (q, n, witness)
 
     run_criterion(5, f"no 4-cycles, exact pair cover on {len(params)} designs", 300.0, body)

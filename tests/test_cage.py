@@ -10,7 +10,6 @@ from frcage import (
     NotPrimePower,
     ResourceLimit,
     b_h_subgraph,
-    blocks_from_graph,
     build_scaled_cage,
     chunks_per_iteration,
     incidence_design,
@@ -88,23 +87,11 @@ def test_resource_limit():
     assert build_scaled_cage(2, 1, max_edges=50).u == 7
 
 
-def test_blocks_from_graph_sides():
-    d1 = build_scaled_cage(2, 1)
-    bx = blocks_from_graph(d1, "X")
-    assert bx.num_elements == 7 and bx.block_size == 3 and len(bx.blocks) == 7
-    d2 = build_scaled_cage(2, 2)
-    by = blocks_from_graph(d2, "Y")
-    assert by.num_elements == 35 and by.block_size == 7
-    assert list(by.blocks[0]) == [0, 1, 2, 7, 8, 9, 10]
-    with pytest.raises(ValueError):
-        blocks_from_graph(d1, "Z")
-
-
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1)])
 def test_blocks_sides_are_mutual_transposes(q, n):
     d = build_scaled_cage(q, n)
-    bx = blocks_from_graph(d, "X").blocks
-    by = blocks_from_graph(d, "Y").blocks
+    bx = d.x_neighbors
+    by = to_storage_design(d).nodes
     for x, ys in enumerate(bx):
         for y in ys:
             assert x in by[y]
@@ -249,7 +236,7 @@ def test_to_dot():
 @pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2), (9, 1)])
 def test_neighbor_lists_strictly_ascend(q, n):
     d = build_scaled_cage(q, n)
-    for rows in (d.x_neighbors, d.y_neighbor_lists()):
+    for rows in (d.x_neighbors, to_storage_design(d).nodes):
         for row in rows:
             assert all(a < b for a, b in zip(row, row[1:])), row
 

@@ -246,11 +246,37 @@ def test_bad_parameters_exit_2_named(tmp_path, capsys, monkeypatch):
     payload["header"]["n"] = 0
     path.write_text(json.dumps(payload))
     code, _, err = run(capsys, "fill", "-i", str(path), "--chunks", "3")
-    assert code == 2 and err.startswith("InvalidParameter:")
+    assert code == 2 and err.startswith("InvalidDesign:")  # refused on load
 
     monkeypatch.setenv("FRC_MAX_EDGES", "abc")
     code, _, err = run(capsys, "construct", "--q", "2", "--n", "1")
     assert code == 2 and err.startswith("InvalidParameter:")
+
+
+def test_header_must_match_q_and_n(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    payload = json.loads(path.read_text())
+    payload["header"]["q"] = 3
+    path.write_text(json.dumps(payload))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("expand built a design for a refused file")
+
+    monkeypatch.setattr(cli.design_mod, "build_scaled_cage", boom)
+    for argv in (["verify"], ["expand"], ["expand", "--max-edges", "10"], ["repair", "--node", "0"]):
+        code, out, err = run(capsys, *argv, "-i", str(path))
+        assert (code, out) == (2, "") and err.startswith("InvalidDesign:"), argv
+
+    # absurd headers are bounded by the row count before p_n or GF(q) is computed
+    for key, value in (("n", 10**9), ("q", 2**61 - 1)):
+        payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 2))))
+        payload["header"][key] = value
+        path.write_text(json.dumps(payload))
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "verify", "-i", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and err.startswith("InvalidDesign:"), key
 
 
 def test_repair_rejects_nodes_sharing_two_chunks(tmp_path, capsys):

@@ -283,6 +283,30 @@ def test_repair_plan_round_robin():
     for c, h in plan.assignments:
         assert h in locs[c] and h != 0
     assert repair_plan(sd, 0, policy="round-robin") == plan  # deterministic
+    # the helper is the failed node's successor on the chunk's holder ring
+    for part in (sd, partial_fill(sd, 20)):
+        holders = helpers.holders_from_rows(part.nodes, part.num_chunks)
+        for g in range(part.num_nodes):
+            for c, h in repair_plan(part, g, policy="round-robin").assignments:
+                assert h == helpers.ring_successor(holders[c], g)
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 2), (8, 1)])
+def test_round_robin_spreads_repair_load(q, n):
+    sd = to_storage_design(build_scaled_cage(q, n))
+    # over all single-node failures every node serves exactly l requests
+    loads = helpers.helper_loads(sd, "round-robin")
+    assert max(loads) == min(loads) == sd.l
+    # while "lowest" sends q*l of them to node 0, the lowest holder of its chunks
+    lowest = helpers.helper_loads(sd, "lowest")
+    assert max(lowest) == lowest[0] == q * sd.l
+    assert sum(lowest) == sum(loads)
+    u_prev = chunks_per_iteration(q, n - 1)
+    for u_tilde in (u_prev + 1, (u_prev + sd.num_chunks) // 2):
+        part = partial_fill(sd, u_tilde)
+        loads = helpers.helper_loads(part, "round-robin")
+        assert max(loads) <= sd.l
+        assert loads == [sum(c is not None for c in row) for row in part.nodes]
 
 
 def test_repair_plan_on_partial_design():
@@ -397,6 +421,48 @@ def test_from_json_rejects_bad_slots(row, error):
     payload["nodes"][0] = row
     with pytest.raises(InvalidDesign, match=error):
         from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("q", 3, "gives"),
+        ("q", 1, "cannot describe"),
+        ("n", 1, "gives"),
+        ("n", 0, "cannot describe"),
+        ("k", 4, "gives"),
+        ("l", 8, "gives"),
+        ("num_nodes", 16, "expected 16 nodes"),
+        ("num_chunks", 36, "gives"),
+        ("p", 3, "field metadata"),
+        ("m", 2, "field metadata"),
+        ("modulus", [1, 1], "field metadata"),
+        ("primitive", 0, "field metadata"),
+    ],
+)
+def test_from_json_checks_header_against_q_and_n(key, value, error):
+    payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 2))))
+    header = payload["header"]
+    (header if key in header else header["field"])[key] = value
+    with pytest.raises(InvalidDesign, match=error):
+        from_json(json.dumps(payload))
+
+
+def test_from_json_header_q_must_be_a_prime_power():
+    # q = 6, n = 1 asks for k = l = 7 over 43 nodes and 43 chunks
+    payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 1))))
+    payload["header"].update(q=6, k=7, l=7, num_nodes=43, num_chunks=43)
+    payload["nodes"] = [list(range(7))] * 43
+    with pytest.raises(InvalidDesign, match="not a prime power"):
+        from_json(json.dumps(payload))
+
+
+def test_hand_built_header_is_not_checked():
+    # 12 nodes of 3 slots match no (q, n); only the canonical header is checked
+    sd = helpers.storage_from_rows(GOLDEN_S239, num_chunks=9, k=4)
+    assert from_json(to_json(sd)) == sd
+    with pytest.raises(InvalidDesign, match="gives"):
+        from_json(to_json(replace(sd, construction=frcage.design.CONSTRUCTION)))
 
 
 def test_from_json_rejects_bad_replication():

@@ -12,7 +12,6 @@ from frcage import (
     BlockCollection,
     BipartiteDesign,
     InvalidDegrees,
-    blocks_from_graph,
     build_scaled_cage,
     check_partial_invariants,
     check_steiner_exact,
