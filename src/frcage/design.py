@@ -246,20 +246,28 @@ def _replica_defect(sd: StorageDesign):
 def check_partial_invariants(sd: StorageDesign):
     """(ok, detail) for possibly partially-filled tables, stopping at the
     first defect: a node repeats a chunk ("duplicate_slot": (node,)), a
-    present chunk lacks k replicas ("replicas": (chunk, count)), or nodes
-    a < b share chunks c0 < c ("overlap": (a, b, c0, c)).  detail is
-    empty when ok."""
+    present chunk lacks k replicas ("replicas": (chunk, count)), nodes
+    a < b share chunks c0 < c ("overlap": (a, b, c0, c)), or the first
+    blank chunk lies below a present one ("blank_gap": (blank, present)).
+    detail is empty when ok; a chunk id out of range raises ValueError."""
     for g, row in enumerate(sd.nodes):
         present = [c for c in row if c is not None]
         if len(set(present)) != len(present):
             return False, {"duplicate_slot": (g,)}
+        if present and not 0 <= min(present) <= max(present) < sd.num_chunks:
+            raise ValueError(f"node {g} holds a chunk id outside [0, {sd.num_chunks})")
     bad = _replica_defect(sd)
     if bad is not None:
         return False, {"replicas": bad}
-    w = _first_repeat(chunk_locations(sd), sd.num_nodes)
+    locs = chunk_locations(sd)
+    w = _first_repeat(locs, sd.num_nodes)
     if w is not None:
         c0, a, c, b = w
         return False, {"overlap": (a, b, c0, c)}
+    # blanks form a suffix exactly when the last count(()) chunks are blank
+    if any(locs[len(locs) - locs.count(()):]):
+        blank = locs.index(())
+        return False, {"blank_gap": (blank, next(c for c in range(blank, len(locs)) if locs[c]))}
     return True, {}
 
 
@@ -320,14 +328,16 @@ def _validate(sd: StorageDesign) -> None:
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
-        if not set(map(type, row)) <= {int, type(None)}:
+        types = set(map(type, row))
+        if not types <= {int, type(None)}:
             raise InvalidDesign(f"node {g} has a slot that is neither an integer nor null")
-        present = set(row)
-        present.discard(None)
-        if present and not (0 <= min(present) and max(present) < sd.num_chunks):
+        present = [c for c in row if c is not None] if type(None) in types else row
+        if not all(map(int.__lt__, present, present[1:])):
+            if len(set(present)) != len(present):
+                raise InvalidDesign(f"node {g} repeats a chunk id")
+            raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
+        if present and not (0 <= present[0] and present[-1] < sd.num_chunks):
             raise InvalidDesign(f"node {g} references a chunk id out of range")
-        if len(present) != sd.l - row.count(None):
-            raise InvalidDesign(f"node {g} repeats a chunk id")
     bad = _replica_defect(sd)
     if bad is not None:
         raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")

@@ -1,11 +1,10 @@
 """Independent checks for constructed designs.
 
-Every pair check runs on one bitset kernel: each element a keeps a
-Python-int mask of the elements b > a it has shared a block with, and a
-block is walked once, largest element first, so u blocks of k elements
-cost u*k operations on v-bit ints instead of u*C(k,2) pair lookups.
-Witnesses are reported for the first failure in a deterministic scan
-order.
+One cover walk decides every pair check: each block's bitmask is OR-ed
+into a Python-int mask per element (u*k operations on v-bit ints, not
+u*C(k,2) pair lookups), and the masks' bit counts tell whether a pair
+repeats.  Only on a defect does the witness walk run, to name the first
+failure in a deterministic scan order.
 """
 
 from __future__ import annotations
@@ -46,9 +45,27 @@ def moore_bounds(k: int, l: int) -> BoundPair:
     return BoundPair(v_min=1 + l * (k - 1), u_min=l + Fraction(l * (l - 1) * (k - 1), k))
 
 
+def _cover_walk(blocks, num_elements: int):
+    """(once, pairs) for ids in [0, num_elements) (others raise): pairs
+    is the sum of C(|block|, 2), and once says no block repeats an
+    element and no pair lies in two blocks.  masks[a] is the union of
+    the blocks holding a, so popcount - 1 summed over the elements seen
+    is twice the distinct pairs covered: 2*pairs exactly when once holds."""
+    masks = [0] * num_elements
+    for block in blocks:
+        m = 0
+        for a in block:
+            m |= 1 << a
+        for a in block:
+            masks[a] |= m
+    pairs = sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+    partners = sum(map(int.bit_count, masks)) - (num_elements - masks.count(0))
+    return partners == 2 * pairs, pairs
+
+
 def _pair_scan(blocks, num_elements: int):
-    """The pair kernel: one pass over `blocks`, elements in
-    [0, num_elements).
+    """The witness walk, run only once the cover walk found a defect:
+    one pass over `blocks`, elements in [0, num_elements).
 
     Returns (masks, dup, first).  masks[a] has bit b for every b >= a
     that shares a block with a (b == a only where a block repeats a);
@@ -91,7 +108,7 @@ def _first_repeat(blocks, num_elements: int):
     in order and each sorted block's pairs a <= b in combinations
     order: c is the block where (a, b) repeats and c0 <= c the first
     block holding it.  None when no pair repeats."""
-    c = _pair_scan(blocks, num_elements)[2]
+    c = None if _cover_walk(blocks, num_elements)[0] else _pair_scan(blocks, num_elements)[2]
     if c is None:
         return None
     # Failure path only: replay blocks 0..c restricted to block c's
@@ -108,16 +125,16 @@ def _first_repeat(blocks, num_elements: int):
                     )
                     return c0, a, j, b
                 seen[a] |= 1 << b
-    raise AssertionError("pair kernel and replay disagree")  # unreachable
+    raise AssertionError("witness walk and replay disagree")  # unreachable
 
 
 def girth_at_least_six(d: BipartiteDesign):
     """(True, None) when no two X vertices share two Y neighbors;
     otherwise (False, (x, y, x2, y2)) naming one 4-cycle.
 
-    A Y pair held by two X vertices is a 4-cycle, so this runs the pair
-    kernel over the X vertices' neighbor sets: x2 is the first vertex
-    whose pair (y, y2) was seen before, at x.
+    A Y pair held by two X vertices is a 4-cycle, so this runs the cover
+    walk over the X vertices' neighbor sets, and on a defect the witness
+    walk: x2 is the first vertex whose pair (y, y2) was seen before, at x.
     """
     w = _first_repeat(d.x_neighbors, d.v)
     return w is None, w
@@ -128,6 +145,8 @@ def check_steiner_exact(bc: BlockCollection):
     one block; otherwise (False, (a, b, count)) for the first bad pair
     in sorted order."""
     v = bc.num_elements
+    if _cover_walk(bc.blocks, v) == (True, v * (v - 1) // 2):
+        return True, None
     masks, dup, _ = _pair_scan(bc.blocks, v)
     full = (1 << v) - 1
     for a in range(v):
@@ -140,7 +159,7 @@ def check_steiner_exact(bc: BlockCollection):
     for a in range(v):
         if masks[a] >> a & 1:
             return False, (a, a, sum(blk.count(a) * (blk.count(a) - 1) // 2 for blk in bc.blocks))
-    return True, None
+    raise AssertionError("cover walk and witness walk disagree")  # unreachable
 
 
 @dataclass(frozen=True)

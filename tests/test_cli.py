@@ -57,10 +57,13 @@ def test_verify_detects_corruption(tmp_path, capsys):
     run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
     payload = json.loads(path.read_text())
     # trade one replica of chunk 11 for one of chunk 14: replication
-    # counts stay intact but two nodes now share two chunks
+    # counts stay intact but two nodes now share two chunks (rows are
+    # kept ascending, as the file format requires)
     rows = payload["nodes"]
     rows[7][rows[7].index(11)] = 14
     rows[8][rows[8].index(14)] = 11
+    rows[7].sort()
+    rows[8].sort()
     path.write_text(json.dumps(payload))
     code, out, _ = run(capsys, "verify", "-i", str(path))
     assert code == 1
@@ -277,6 +280,33 @@ def test_header_must_match_q_and_n(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, "verify", "-i", str(path))
         assert time.perf_counter() - t0 < 1.0
         assert code == 2 and err.startswith("InvalidDesign:"), key
+
+
+def test_rows_must_ascend(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    payload = json.loads(path.read_text())
+    row = payload["nodes"][3]
+    row[0], row[6] = row[6], row[0]
+    path.write_text(json.dumps(payload))
+    for argv in (["verify"], ["expand"], ["repair", "--node", "0"]):
+        code, out, err = run(capsys, *argv, "-i", str(path))
+        assert code == 2 and out == "", argv
+        assert err.startswith("InvalidDesign: node 3 does not list"), argv
+
+
+def test_verify_flags_a_blank_gap(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    payload = json.loads(path.read_text())
+    for row in payload["nodes"]:
+        row[:] = [None if c == 30 else c for c in row]
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "verify", "-i", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["partial_invariants_ok"] is False
+    assert report["witnesses"] == {"blank_gap": [30, 31]}
 
 
 def test_repair_rejects_nodes_sharing_two_chunks(tmp_path, capsys):

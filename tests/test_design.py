@@ -414,7 +414,8 @@ def test_from_json_rejects_non_integers(edit):
 
 @pytest.mark.parametrize(
     "row, error",
-    [([0, 1, 7], "out of range"), ([-1, 1, 2], "out of range"), ([0, 1, 1], "repeats")],
+    [([0, 1, 7], "out of range"), ([-1, 1, 2], "out of range"), ([0, 1, 1], "repeats"),
+     ([0, 2, 1], "node 0 does not list its chunk ids in ascending order")],
 )
 def test_from_json_rejects_bad_slots(row, error):
     payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 1))))

@@ -38,9 +38,13 @@ def _swap_in_row(rng, p):
 
 
 def _swap_across_rows(rng, p):
+    """Swap two slots between rows, then sort both rows (blanks last)
+    as a node's row is written; unsorted, the file is refused on load."""
     (g, i), (h, j) = _slot(rng, p["nodes"]), _slot(rng, p["nodes"])
     if i is not None and j is not None:
         p["nodes"][g][i], p["nodes"][h][j] = p["nodes"][h][j], p["nodes"][g][i]
+        for row in (p["nodes"][g], p["nodes"][h]):
+            row.sort(key=lambda c: (c is None, c))
 
 
 def _blank(rng, p):
@@ -85,19 +89,22 @@ MUTATIONS = [_swap_in_row, _swap_across_rows, _blank, _duplicate, _insert, _edit
 
 def _sound(payload, header) -> tuple[bool, bool]:
     """(complete, ok) by the oracles: the header is the unmutated one
-    (the row count and length fix (q, n)), rows hold distinct chunk
-    ids, every present chunk has k holders, no two nodes share two
-    chunks, and a complete table covers every node pair."""
+    (the row count and length fix (q, n)), each row's chunk ids
+    strictly ascend, every present chunk has k holders, the blank
+    chunks are the largest ids, no two nodes share two chunks, and a
+    complete table covers every node pair."""
     h, rows = payload["header"], payload["nodes"]
     present = [[c for c in row if c is not None] for row in rows]
     complete = all(len(p) == len(row) for p, row in zip(present, rows))
     holders = helpers.holders_from_rows(present, h["num_chunks"])
     counts = helpers.pair_cover_counts(holders)
     v = len(rows)
+    blank = [c for c, hs in enumerate(holders) if not hs]
     ok = (
         h == header
-        and all(len(set(p)) == len(p) for p in present)
+        and all(p == sorted(set(p)) for p in present)
         and all(len(hs) in ((h["k"],) if complete else (0, h["k"])) for hs in holders)
+        and blank == list(range(len(holders) - len(blank), len(holders)))
         and max(counts.values(), default=0) <= 1
         and (not complete or len(counts) == v * (v - 1) // 2)
     )
@@ -155,3 +162,12 @@ def test_sound_oracle_reads_the_rows():
     a, b = (next(c for c in rows[x] if c not in rows[y]) for x, y in ((7, 8), (8, 7)))
     rows[7][rows[7].index(a)], rows[8][rows[8].index(b)] = b, a
     assert _sound(payload, header) == (True, False)
+    rows[7][rows[7].index(b)], rows[8][rows[8].index(a)] = a, b
+    rows[3][0], rows[3][6] = rows[3][6], rows[3][0]
+    assert _sound(payload, header) == (True, False)
+    rows[3].sort()
+    partial = json.loads(to_json(partial_fill(to_storage_design(build_scaled_cage(2, 2)), 34)))
+    assert _sound(partial, header) == (False, True)
+    for row in partial["nodes"]:
+        row[:] = [None if c == 30 else c for c in row]
+    assert _sound(partial, header) == (False, False)

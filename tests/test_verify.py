@@ -23,6 +23,7 @@ from frcage import (
     to_storage_design,
     verify_design,
 )
+from frcage.verify import _cover_walk, _pair_scan
 from conftest import GOLDEN_S237, GOLDEN_S239
 import helpers
 
@@ -249,6 +250,13 @@ def ref_partial(sd):
                     break
             if not ok:
                 break
+    if ok:
+        holders = chunk_locations(sd)
+        blank = [c for c in range(len(holders)) if not holders[c]]
+        later = [c for c in range(len(holders)) if holders[c] and blank and c > blank[0]]
+        if later:
+            ok = False
+            detail["blank_gap"] = (blank[0], later[0])
     return ok, detail
 
 
@@ -327,3 +335,80 @@ def test_partial_invariants_witness_parity(q, n):
         assert check_partial_invariants(sd) == want, sd.nodes
         kinds.update(want[1])
     assert kinds == {"duplicate_slot", "replicas", "overlap"}
+
+
+# ---------------------------------------------------------------------------
+# the cover walk decides; the witness walk only names the defect
+# ---------------------------------------------------------------------------
+
+def test_partial_invariants_blank_gap():
+    full = to_storage_design(build_scaled_cage(2, 2))
+    assert check_partial_invariants(partial_fill(full, 30)) == (True, {})
+    gap = replace(full, nodes=tuple(
+        tuple(None if c == 30 else c for c in row) for row in full.nodes
+    ))
+    assert check_partial_invariants(gap) == (False, {"blank_gap": (30, 31)})
+    assert ref_partial(gap) == (False, {"blank_gap": (30, 31)})
+
+
+def test_out_of_range_ids_raise():
+    for bad, error in ((-1, ValueError), (3, IndexError)):
+        blocks = ((0, bad), (1, 2))
+        d = BipartiteDesign(q=None, n=None, k=2, l=2, u=2, v=3, x_neighbors=blocks)
+        with pytest.raises(error):
+            girth_at_least_six(d)
+        with pytest.raises(error):
+            check_steiner_exact(BlockCollection(3, 2, blocks))
+    sd = to_storage_design(build_scaled_cage(2, 1))
+    for bad in (-1, sd.num_chunks):
+        nodes = ((bad,) + sd.nodes[0][1:],) + sd.nodes[1:]
+        with pytest.raises(ValueError, match="node 0"):
+            check_partial_invariants(replace(sd, nodes=nodes))
+
+
+def assert_cover_walk_decides(blocks, v):
+    """The cover walk passes exactly when the witness walk finds no
+    repeated pair and no block repeats an element (so a lone [2, 2],
+    which repeats no pair, still goes to the witness walk)."""
+    once, pairs = _cover_walk(blocks, v)
+    masks, _, first = _pair_scan(blocks, v)
+    assert once == (first is None and not any(m >> a & 1 for a, m in enumerate(masks))), blocks
+    assert pairs == sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+    return once, pairs
+
+
+@pytest.mark.parametrize("q,n", PARITY_DESIGNS)
+def test_cover_walk_verdict_on_mutants(q, n):
+    d = build_scaled_cage(q, n)
+    assert assert_cover_walk_decides(d.x_neighbors, d.v)[0]
+    rng = random.Random(1000 * q + n)  # the corpus of the witness-parity test
+    verdicts = set()
+    for _ in range(300):
+        blocks = tuple(tuple(b) for b in mutate(rng, d.x_neighbors, drop=True))
+        once, pairs = assert_cover_walk_decides(blocks, d.v)
+        steiner = once and pairs == d.v * (d.v - 1) // 2
+        assert steiner == ref_steiner(BlockCollection(d.v, d.k, blocks))[0], blocks
+        verdicts.add((once, steiner))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def test_cover_walk_verdict_on_repeated_elements():
+    cases = [
+        ([[0, 0], [0, 0]], 1),
+        ([[1, 1], [0, 1, 1]], 2),
+        ([[0, 2, 2], [1, 2]], 3),
+        ([[3, 1, 1, 1]], 4),
+        ([[0, 1], [2, 2], [0, 1]], 3),
+        ([[2, 2], [0, 1, 2], [1, 2, 2]], 3),
+        ([[0, 1], [0, 0], [0, 0]], 2),
+        ([[2, 2]], 3),
+        ([[0, 1], [2, 2]], 3),
+    ]
+    for blocks, v in cases:
+        assert not assert_cover_walk_decides(tuple(map(tuple, blocks)), v)[0]
+    # an element that no block holds (a node left empty by a fill) is
+    # not a defect
+    assert assert_cover_walk_decides(((0, 1),), 3) == (True, 1)
+    # two copies alone repeat nothing: the witness walk clears them
+    d = BipartiteDesign(q=None, n=None, k=2, l=2, u=2, v=3, x_neighbors=((0, 1), (2, 2)))
+    assert girth_at_least_six(d) == ref_girth(d) == (True, None)
