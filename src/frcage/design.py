@@ -332,9 +332,9 @@ def _validate(sd: StorageDesign) -> None:
         if not types <= {int, type(None)}:
             raise InvalidDesign(f"node {g} has a slot that is neither an integer nor null")
         present = [c for c in row if c is not None] if type(None) in types else row
-        if not all(map(int.__lt__, present, present[1:])):
-            if len(set(present)) != len(present):
-                raise InvalidDesign(f"node {g} repeats a chunk id")
+        if len(set(present)) != len(present):
+            raise InvalidDesign(f"node {g} repeats a chunk id")
+        if sorted(present) != list(present):
             raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
         if present and not (0 <= present[0] and present[-1] < sd.num_chunks):
             raise InvalidDesign(f"node {g} references a chunk id out of range")

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, determinism."""
 
+import gc
 import json
 import os
 import stat
@@ -8,7 +9,10 @@ import time
 
 import pytest
 
-from frcage import build_scaled_cage, incidence_design, to_json, to_storage_design, verify_design
+from frcage import (
+    build_scaled_cage, chunks_per_iteration, incidence_design, to_json, to_storage_design,
+    verify_design,
+)
 from frcage import cli
 from frcage.cli import main
 from conftest import GOLDEN_MOLS_Q3
@@ -19,6 +23,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _corrupt(path):
+    """Trade a replica of chunk 11 for one of chunk 14 on a (2,2) file,
+    keeping rows ascending: replica counts stay intact, but nodes 7 and
+    8 now share two chunks."""
+    payload = json.loads(path.read_text())
+    rows = payload["nodes"]
+    rows[7][rows[7].index(11)] = 14
+    rows[8][rows[8].index(14)] = 11
+    rows[7].sort()
+    rows[8].sort()
+    path.write_text(json.dumps(payload))
 
 
 def test_construct_and_verify_roundtrip(tmp_path, capsys):
@@ -55,16 +72,7 @@ def test_construct_rejects_non_prime_power(capsys):
 def test_verify_detects_corruption(tmp_path, capsys):
     path = tmp_path / "d.json"
     run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
-    payload = json.loads(path.read_text())
-    # trade one replica of chunk 11 for one of chunk 14: replication
-    # counts stay intact but two nodes now share two chunks (rows are
-    # kept ascending, as the file format requires)
-    rows = payload["nodes"]
-    rows[7][rows[7].index(11)] = 14
-    rows[8][rows[8].index(14)] = 11
-    rows[7].sort()
-    rows[8].sort()
-    path.write_text(json.dumps(payload))
+    _corrupt(path)
     code, out, _ = run(capsys, "verify", "-i", str(path))
     assert code == 1
     assert json.loads(out)["all_ok"] is False
@@ -328,3 +336,65 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--q", "2"])  # missing --n
     assert exc.value.code == 2
+
+
+def test_main_restores_the_collector(tmp_path, capsys, monkeypatch):
+    path, bad = tmp_path / "d.json", tmp_path / "bad.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    bad.write_text(path.read_text())
+    _corrupt(bad)
+    cases = [
+        (0, ["verify", "-i", str(path)]),
+        (1, ["verify", "-i", str(bad)]),
+        (2, ["construct", "--q", "6", "--n", "1"]),
+        (2, ["verify", "-i", str(tmp_path / "missing.json")]),
+    ]
+    assert gc.isenabled()
+    for code, argv in cases:
+        assert run(capsys, *argv)[0] == code, argv
+        assert gc.isenabled(), argv
+    gc.disable()
+    try:
+        for code, argv in cases:
+            assert run(capsys, *argv)[0] == code, argv
+            assert not gc.isenabled(), argv
+    finally:
+        gc.enable()
+    # the collector is off while the command itself runs
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_bounds", lambda args: seen.append(gc.isenabled()) or 0)
+    assert run(capsys, "bounds", "--k", "3", "--l", "3")[0] == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def _cyclic_garbage(tmp_path, q, n):
+    """Objects gc.collect() finds after each command's handler runs
+    with the collector off, by command."""
+    full, partial, out = (tmp_path / f"{name}-{q}-{n}.json" for name in ("full", "partial", "out"))
+    u_tilde = (chunks_per_iteration(q, n - 1) + chunks_per_iteration(q, n)) // 2
+    commands = {
+        "construct": ["construct", "--q", str(q), "--n", str(n), "-o", str(full)],
+        "fill": ["fill", "-i", str(full), "--chunks", str(u_tilde), "-o", str(partial)],
+        "verify": ["verify", "-i", str(full)],
+        "verify_partial": ["verify", "-i", str(partial)],
+        "expand": ["expand", "-i", str(full), "-o", str(out)],
+        "repair": ["repair", "-i", str(full), "--node", "1"],
+    }
+    counts = {}
+    gc.disable()
+    try:
+        for name, argv in commands.items():
+            args = cli._build_parser().parse_args(argv)
+            gc.collect()
+            assert args.func(args) == 0, argv
+            counts[name] = gc.collect()
+    finally:
+        gc.enable()
+    return counts
+
+
+# main runs commands with the collector paused; that is safe only while
+# a command's cyclic garbage stays fixed as the design grows.
+@pytest.mark.parametrize("small, large", [((2, 3), (2, 5)), ((3, 2), (3, 3))], ids=["q2", "q3"])
+def test_commands_make_no_cyclic_garbage_that_grows(small, large, tmp_path):
+    assert _cyclic_garbage(tmp_path, *small) == _cyclic_garbage(tmp_path, *large)

@@ -21,12 +21,19 @@ import helpers
 
 DESIGNS = [(2, 3), (3, 2), (4, 1)]
 MUTANTS = 120
+# Mutants whose `verify` must reach exit 1, so the checks behind the
+# verdict are fuzzed and not only the refusal to load.
+MIN_VERDICT_FAILURES = 20
 ERROR_NAMES = {cls.__name__ for cls in (FrcageError, *FrcageError.__subclasses__())}
 
 
 def _slot(rng, rows):
     g = rng.randrange(len(rows))
     return g, rng.randrange(len(rows[g])) if rows[g] else None
+
+
+def _ascending(row):
+    row.sort(key=lambda c: (c is None, c))
 
 
 def _swap_in_row(rng, p):
@@ -43,8 +50,31 @@ def _swap_across_rows(rng, p):
     (g, i), (h, j) = _slot(rng, p["nodes"]), _slot(rng, p["nodes"])
     if i is not None and j is not None:
         p["nodes"][g][i], p["nodes"][h][j] = p["nodes"][h][j], p["nodes"][g][i]
-        for row in (p["nodes"][g], p["nodes"][h]):
-            row.sort(key=lambda c: (c is None, c))
+        _ascending(p["nodes"][g])
+        _ascending(p["nodes"][h])
+
+
+def _trade(rng, p):
+    """Trade a chunk each of two rows holds and the other does not,
+    then sort both: rows still ascend and every replica count holds."""
+    g, h = rng.sample(range(len(p["nodes"])), 2)
+    a, b = p["nodes"][g], p["nodes"][h]
+    mine = [c for c in a if c is not None and c not in b]
+    theirs = [c for c in b if c is not None and c not in a]
+    if mine and theirs:
+        c, d = rng.choice(mine), rng.choice(theirs)
+        a[a.index(c)], b[b.index(d)] = d, c
+        _ascending(a)
+        _ascending(b)
+
+
+def _relabel(rng, p):
+    """Swap two chunk ids everywhere, then sort every row."""
+    c, d = rng.sample(range(p["header"]["num_chunks"]), 2)
+    swap = {c: d, d: c}
+    for row in p["nodes"]:
+        row[:] = [swap.get(x, x) for x in row]
+        _ascending(row)
 
 
 def _blank(rng, p):
@@ -84,7 +114,10 @@ def _edit_number(rng, p):
         table[key] += rng.choice([-1, 1, 2, 10**9])
 
 
-MUTATIONS = [_swap_in_row, _swap_across_rows, _blank, _duplicate, _insert, _edit_number]
+# Kinds that keep every row ascending, so the file loads unless a
+# replica count breaks; half the mutants draw only from these.
+ORDERED = [_swap_across_rows, _trade, _relabel]
+MUTATIONS = [_swap_in_row, *ORDERED, _blank, _duplicate, _insert, _edit_number]
 
 
 def _sound(payload, header) -> tuple[bool, bool]:
@@ -127,16 +160,18 @@ def test_mutants_fail_named_and_never_pass_falsely(q, n, tmp_path, capsys):
     u_tilde = rng.randrange(chunks_per_iteration(q, n - 1) + 1, full.num_chunks)
     bases = [json.loads(to_json(sd)) for sd in (full, partial_fill(full, u_tilde))]
     path, out_path = tmp_path / "m.json", tmp_path / "out.json"
-    verdicts = set()
+    verdicts, failures = set(), 0
     for t in range(MUTANTS):
         base = bases[t % 2]
         payload = json.loads(json.dumps(base))
-        for mutate in rng.sample(MUTATIONS, rng.choice([1, 1, 2, 3])):
+        kinds = ORDERED if t % 4 >= 2 else MUTATIONS
+        for mutate in rng.sample(kinds, rng.choice([1, 1, 2, 3])):
             mutate(rng, payload)
         path.write_text(json.dumps(payload))
 
         code, out = _run(capsys, "verify", "-i", str(path))
         verdicts.add(code)
+        failures += code == 1
         if code != 2:
             report = json.loads(out)
             passed = report["all_ok"] if report["complete"] else report["partial_invariants_ok"]
@@ -149,6 +184,7 @@ def test_mutants_fail_named_and_never_pass_falsely(q, n, tmp_path, capsys):
         _run(capsys, "fill", "-i", str(path), "--chunks", str(u_tilde), "-o", str(out_path))
         _run(capsys, "expand", "-i", str(path), "-o", str(out_path), "--max-edges", "5000")
     assert verdicts == {0, 1, 2}
+    assert failures >= MIN_VERDICT_FAILURES
 
 
 def test_sound_oracle_reads_the_rows():
