@@ -98,7 +98,7 @@ def _cmd_fill(args) -> int:
 
 def _cmd_repair(args) -> int:
     sd = _load(args.input)
-    plan = design_mod.repair_plan(sd, args.node, policy=args.policy)
+    plan = design_mod.repair_plan(sd, args.node)
     payload = {
         "failed_node": plan.failed_node,
         "assignments": [[c, h] for c, h in plan.assignments],
@@ -183,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repair", help="plan single-node repair: one helper per chunk")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--node", type=int, required=True)
-    p.add_argument("--policy", choices=["lowest", "round-robin"], default="lowest")
     p.set_defaults(func=_cmd_repair)
 
     p = sub.add_parser("bounds", help="minimum node/chunk counts for degrees (k, l)")

@@ -141,6 +141,13 @@ def chunk_locations(sd: StorageDesign) -> tuple[tuple[int, ...], ...]:
     return sd.locations
 
 
+def _require_canonical(sd: StorageDesign) -> None:
+    """Refuse a table whose (q, n) header was not checked on load."""
+    if sd.version != SCHEMA_VERSION or sd.construction != CONSTRUCTION:
+        raise NotCanonical(f"unknown provenance: version={sd.version!r}, "
+                           f"construction={sd.construction!r}")
+
+
 def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
     """Grow a canonical (q, n) design to (q, n+1).
 
@@ -152,10 +159,7 @@ def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
     before anything is built, so a table that is both non-canonical
     and over the cap gets ResourceLimit.
     """
-    if old.version != SCHEMA_VERSION or old.construction != CONSTRUCTION:
-        raise NotCanonical(
-            f"unknown provenance: version={old.version!r}, construction={old.construction!r}"
-        )
+    _require_canonical(old)
     if not old.is_complete:
         raise NotCanonical("partially filled designs cannot be expanded")
     if old.n < 1:
@@ -178,8 +182,10 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
 
     Valid u_tilde lie strictly above the previous iteration's chunk
     count and at most at this iteration's; slot positions are kept so
-    chunks can be filled in later without moving anything.
+    chunks can be filled in later without moving anything.  Like
+    expand, it refuses tables this library did not build (NotCanonical).
     """
+    _require_canonical(full)
     if not full.is_complete:
         raise InvalidDesign("partial_fill expects the full (q, n) design")
     if full.n < 1:
@@ -195,38 +201,30 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     return replace(full, nodes=nodes)
 
 
-def repair_plan(sd: StorageDesign, failed: int, policy: str = "lowest") -> RepairPlan:
-    """Pick one distinct helper node per chunk of the failed node.
+def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
+    """Pick one distinct helper node per chunk of the failed node: the
+    failed node's successor on the chunk's ascending holder ring (the
+    next larger holder, else the smallest).
 
-    "lowest" always takes the smallest surviving holder id, so over all
-    num_nodes single-node failures of a complete canonical table, node
-    0 serves q*l requests.  "round-robin" takes the failed node's
-    successor on the chunk's ascending holder ring (the next larger
-    holder, else the smallest).  Each holder of a chunk is then the
-    successor of exactly one other holder, so over all single-node
-    failures every node serves one request per chunk it holds: exactly
-    l on a complete table, at most l on a partial one.  Helpers are
-    distinct because two chunks of one node never share another holder,
-    or that holder and the failed node would share a chunk pair; a
-    table that breaks this raises InvalidDesign.
+    Each holder of a chunk is the successor of exactly one other
+    holder, so over all num_nodes single-node failures every node
+    serves one request per chunk it holds: exactly l on a complete
+    table and at most l on a partial one.  Helpers are distinct because
+    two chunks of one node never share another holder, or that holder
+    and the failed node would share a chunk pair; a table that breaks
+    this raises InvalidDesign.
     """
     if not 0 <= failed < sd.num_nodes:
         raise NodeOutOfRange(f"node id must be in [0, {sd.num_nodes}), got {failed}")
-    if policy not in ("lowest", "round-robin"):
-        raise ValueError(f"unknown policy {policy!r}")
     locs = chunk_locations(sd)
-    assignments = []
-    used = set()
+    assignments, used = [], set()
     for chunk in sd.nodes[failed]:
         if chunk is None:
             continue
-        survivors = [g for g in locs[chunk] if g != failed]
-        if not survivors:
+        ring = locs[chunk]
+        if len(ring) < 2:
             raise NoSurvivingReplica(f"chunk {chunk} has no replica outside node {failed}")
-        if policy == "lowest":
-            helper = survivors[0]
-        else:
-            helper = next((g for g in survivors if g > failed), survivors[0])
+        helper = ring[(ring.index(failed) + 1) % len(ring)]
         if helper in used:
             raise InvalidDesign(f"node {failed} shares two chunks with node {helper}")
         used.add(helper)
@@ -301,8 +299,8 @@ def from_json(text: str) -> StorageDesign:
     """Parse and validate a serialized design.  Raises InvalidDesign."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidDesign(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # also an integer past the int-to-str digit limit
+        raise InvalidDesign(f"cannot parse JSON: {exc}") from exc
     try:
         header = payload["header"]
         fmeta = header["field"]
@@ -325,6 +323,8 @@ def _validate(sd: StorageDesign) -> None:
         raise InvalidDesign(f"expected {sd.num_nodes} nodes, found {len(sd.nodes)}")
     if sd.construction == CONSTRUCTION:
         _check_header(sd)
+    elif not 0 <= sd.num_chunks <= sd.num_nodes * sd.l:  # bounds the location index
+        raise InvalidDesign(f"num_chunks={sd.num_chunks} is outside [0, num_nodes * l]")
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")

@@ -6,7 +6,7 @@ behind a matching bug in its checker.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 from frcage import BipartiteDesign, FieldMeta, StorageDesign, field_new, repair_plan
 
@@ -71,14 +71,63 @@ def ring_successor(holders, failed: int) -> int:
     return ring[(ring.index(failed) + 1) % len(ring)]
 
 
-def helper_loads(sd: StorageDesign, policy: str) -> list[int]:
+def helper_loads(sd: StorageDesign) -> list[int]:
     """Requests each node serves, summed over the repair plans of all
     num_nodes single-node failures."""
     loads = [0] * sd.num_nodes
     for failed in range(sd.num_nodes):
-        for _, helper in repair_plan(sd, failed, policy=policy).assignments:
+        for _, helper in repair_plan(sd, failed).assignments:
             loads[helper] += 1
     return loads
+
+
+def veblen_young_violation(lines, num_points: int):
+    """First (p, a, b, c, d) breaking the Veblen-Young axiom, else None.
+
+    Points are nodes and lines are chunks (their holder sets).  For two
+    lines through p, a != b on the first and c != d on the second, none
+    of them p, the lines through a, c and through b, d must exist and
+    meet.  By the Veblen-Young theorem, a Steiner-exact design with
+    lines of at least 3 points that passes is a projective space, so
+    PG(d, q) when it is not a plane; in a projective plane any two
+    lines meet, so a plane passes at once."""
+    line_of = {}
+    through = [[] for _ in range(num_points)]
+    for i, line in enumerate(lines):
+        for pair in combinations(sorted(line), 2):
+            line_of[pair] = i
+        for x in line:
+            through[x].append(i)
+    sets = [set(line) for line in lines]
+
+    def join(x, y):
+        return line_of.get((min(x, y), max(x, y)))
+
+    for p in range(num_points):
+        for i, j in combinations(through[p], 2):
+            first = [x for x in lines[i] if x != p]
+            second = [x for x in lines[j] if x != p]
+            for a, b in combinations(first, 2):
+                for c, d in permutations(second, 2):
+                    ac, bd = join(a, c), join(b, d)
+                    if ac is None or bd is None or not sets[ac] & sets[bd]:
+                        return p, a, b, c, d
+    return None
+
+
+def bose_sts15():
+    """Bose's Steiner triple system of order 15 over Z5 x Z3, with the
+    idempotent commutative quasigroup x o y = 3(x + y) mod 5.  It is an
+    S(2, 3, 15) but not PG(3, 2).  Point (x, i) is numbered 3x + i."""
+    def pt(x, i):
+        return 3 * (x % 5) + i % 3
+
+    triples = [(pt(x, 0), pt(x, 1), pt(x, 2)) for x in range(5)]
+    triples += [
+        (pt(x, i), pt(y, i), pt(3 * (x + y), i + 1))
+        for i in range(3) for x, y in combinations(range(5), 2)
+    ]
+    return [tuple(sorted(t)) for t in triples]
 
 
 def storage_from_rows(rows, num_chunks, k, q=3, n=1) -> StorageDesign:

@@ -6,11 +6,13 @@ import pytest
 
 from frcage import (
     BipartiteDesign,
+    BlockCollection,
     IndexOutOfRange,
     NotPrimePower,
     ResourceLimit,
     b_h_subgraph,
     build_scaled_cage,
+    check_steiner_exact,
     chunks_per_iteration,
     incidence_design,
     p_n,
@@ -222,6 +224,39 @@ def test_b_h_subgraph_group_is_checked():
         h = d.x_neighbors.index(nodes(d.x_neighbors[c]))
         with pytest.raises(ValueError, match="layer-3 chunks"):
             b_h_subgraph(tampered, h)
+
+
+# ---------------------------------------------------------------------------
+# projective geometry
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_designs_satisfy_veblen_young(q, n):
+    # Steiner exact plus the Veblen-Young axiom: the design is PG(n+1, q)
+    d = build_scaled_cage(q, n)
+    assert helpers.is_steiner_exact(d.x_neighbors, d.v)
+    assert helpers.veblen_young_violation(d.x_neighbors, d.v) is None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_b_h_subgraphs_are_projective_planes(q):
+    d = build_scaled_cage(q, 2)
+    for h in range(p_n(q, 2)):
+        sub = b_h_subgraph(d, h)
+        assert sub.v == q * q + q + 1
+        assert helpers.is_steiner_exact(sub.x_neighbors, sub.v)
+        assert helpers.veblen_young_violation(sub.x_neighbors, sub.v) is None
+
+
+def test_veblen_young_tells_pg32_from_bose_sts15():
+    # both are S(2, 3, 15); only PG(3, 2) is a projective space
+    bose = helpers.bose_sts15()
+    assert helpers.is_steiner_exact(bose, 15)
+    assert check_steiner_exact(BlockCollection(15, 3, tuple(bose))) == (True, None)
+    assert helpers.veblen_young_violation(bose, 15) is not None
+    pg32 = build_scaled_cage(2, 2)
+    assert check_steiner_exact(BlockCollection(15, 3, pg32.x_neighbors)) == (True, None)
+    assert helpers.veblen_young_violation(pg32.x_neighbors, 15) is None
 
 
 def test_to_dot():

@@ -290,6 +290,57 @@ def test_header_must_match_q_and_n(tmp_path, capsys, monkeypatch):
         assert code == 2 and err.startswith("InvalidDesign:"), key
 
 
+def test_repair_has_no_policy_flag(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "1", "-o", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["repair", "-i", str(path), "--node", "0", "--policy", "lowest"])
+    assert exc.value.code == 2
+
+
+def _refused_fast(capsys, tmp_path, text, error, *argvs):
+    """Each command refuses the design file `text` on its own: exit 2,
+    no output, a named error and no traceback, in under 1 s."""
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    for argv in argvs:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "-i", str(path))
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert (code, out) == (2, "") and err.startswith(error + ":"), (argv, err)
+        assert "Traceback" not in err
+
+
+def _q2n1_payload():
+    return json.loads(to_json(to_storage_design(build_scaled_cage(2, 1))))
+
+
+@pytest.mark.parametrize("key", ["slot", "q"])
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys, key):
+    payload = _q2n1_payload()
+    if key == "slot":
+        payload["nodes"][0][0] = 123456789
+    else:
+        payload["header"]["q"] = 123456789
+    text = json.dumps(payload).replace("123456789", "9" * 5000)
+    _refused_fast(capsys, tmp_path, text, "InvalidDesign",
+                  ["verify"], ["repair", "--node", "0"], ["fill", "--chunks", "3"])
+
+
+def test_hand_built_num_chunks_is_bounded(tmp_path, capsys):
+    payload = _q2n1_payload()
+    payload["header"].update(construction="hand-built", num_chunks=10**9)
+    _refused_fast(capsys, tmp_path, json.dumps(payload), "InvalidDesign",
+                  ["verify"], ["repair", "--node", "0"], ["export", "--format", "csv"])
+
+
+@pytest.mark.parametrize("q, n", [(3, 10**7), (1000003, 10**4)])
+def test_fill_refuses_hand_built_tables(tmp_path, capsys, q, n):
+    payload = _q2n1_payload()
+    payload["header"].update(construction="hand-built", q=q, n=n)
+    _refused_fast(capsys, tmp_path, json.dumps(payload), "NotCanonical", ["fill", "--chunks", "3"])
+
+
 def test_rows_must_ascend(tmp_path, capsys):
     path = tmp_path / "d.json"
     run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -176,6 +177,19 @@ def test_expand_rejects_foreign_provenance():
         expand(foreign)
 
 
+def test_partial_fill_rejects_foreign_provenance():
+    # (q, n) of a hand-built table are not checked on load, so fill
+    # must not compute its window from them
+    sd = to_storage_design(build_scaled_cage(2, 1))
+    for foreign in (
+        replace(sd, construction="hand-built"),
+        replace(sd, construction="hand-built", q=3, n=10**7),
+        replace(sd, version="0"),
+    ):
+        with pytest.raises(NotCanonical):
+            partial_fill(foreign, 3)
+
+
 def test_expand_rejects_partial():
     sd = to_storage_design(build_scaled_cage(2, 2))
     with pytest.raises(NotCanonical):
@@ -276,18 +290,18 @@ def test_repair_plan_all_nodes_distinct_helpers():
 
 def test_repair_plan_round_robin():
     sd = to_storage_design(build_scaled_cage(2, 2))
-    plan = repair_plan(sd, 0, policy="round-robin")
+    plan = repair_plan(sd, 0)
     hs = [h for _, h in plan.assignments]
     assert len(set(hs)) == len(hs)
     locs = chunk_locations(sd)
     for c, h in plan.assignments:
         assert h in locs[c] and h != 0
-    assert repair_plan(sd, 0, policy="round-robin") == plan  # deterministic
+    assert repair_plan(sd, 0) == plan  # deterministic
     # the helper is the failed node's successor on the chunk's holder ring
     for part in (sd, partial_fill(sd, 20)):
         holders = helpers.holders_from_rows(part.nodes, part.num_chunks)
         for g in range(part.num_nodes):
-            for c, h in repair_plan(part, g, policy="round-robin").assignments:
+            for c, h in repair_plan(part, g).assignments:
                 assert h == helpers.ring_successor(holders[c], g)
 
 
@@ -295,16 +309,12 @@ def test_repair_plan_round_robin():
 def test_round_robin_spreads_repair_load(q, n):
     sd = to_storage_design(build_scaled_cage(q, n))
     # over all single-node failures every node serves exactly l requests
-    loads = helpers.helper_loads(sd, "round-robin")
+    loads = helpers.helper_loads(sd)
     assert max(loads) == min(loads) == sd.l
-    # while "lowest" sends q*l of them to node 0, the lowest holder of its chunks
-    lowest = helpers.helper_loads(sd, "lowest")
-    assert max(lowest) == lowest[0] == q * sd.l
-    assert sum(lowest) == sum(loads)
     u_prev = chunks_per_iteration(q, n - 1)
     for u_tilde in (u_prev + 1, (u_prev + sd.num_chunks) // 2):
         part = partial_fill(sd, u_tilde)
-        loads = helpers.helper_loads(part, "round-robin")
+        loads = helpers.helper_loads(part)
         assert max(loads) <= sd.l
         assert loads == [sum(c is not None for c in row) for row in part.nodes]
 
@@ -322,8 +332,8 @@ def test_repair_plan_errors():
         repair_plan(sd, 7)
     with pytest.raises(NodeOutOfRange):
         repair_plan(sd, -1)
-    with pytest.raises(ValueError):
-        repair_plan(sd, 0, policy="random")
+    with pytest.raises(TypeError):  # the ring successor is the only rule
+        repair_plan(sd, 0, policy="lowest")
     toy = helpers.storage_from_rows([[0]], num_chunks=1, k=1)
     with pytest.raises(NoSurvivingReplica):
         repair_plan(toy, 0)
@@ -464,6 +474,17 @@ def test_hand_built_header_is_not_checked():
     assert from_json(to_json(sd)) == sd
     with pytest.raises(InvalidDesign, match="gives"):
         from_json(to_json(replace(sd, construction=frcage.design.CONSTRUCTION)))
+
+
+@pytest.mark.parametrize("num_chunks", [-1, 22, 10**9])
+def test_hand_built_num_chunks_is_bounded_by_the_slots(num_chunks):
+    # 7 nodes of 3 slots hold at most 21 chunks
+    sd = replace(to_storage_design(build_scaled_cage(2, 1)), construction="hand-built")
+    assert from_json(to_json(replace(sd, num_chunks=21))).num_chunks == 21
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidDesign, match="num_chunks"):
+        from_json(to_json(replace(sd, num_chunks=num_chunks)))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_from_json_rejects_bad_replication():

@@ -179,8 +179,7 @@ def test_mutants_fail_named_and_never_pass_falsely(q, n, tmp_path, capsys):
             if passed:
                 assert _sound(payload, base["header"]) == (report["complete"], True), payload
         node = str(rng.randrange(len(payload["nodes"]) + 1))
-        _run(capsys, "repair", "-i", str(path), "--node", node,
-             "--policy", rng.choice(["lowest", "round-robin"]))
+        _run(capsys, "repair", "-i", str(path), "--node", node)
         _run(capsys, "fill", "-i", str(path), "--chunks", str(u_tilde), "-o", str(out_path))
         _run(capsys, "expand", "-i", str(path), "-o", str(out_path), "--max-edges", "5000")
     assert verdicts == {0, 1, 2}
