@@ -1,35 +1,32 @@
 """Replica placement designs with exact repair and append-only growth.
 
-Builds minimum-size girth-6 bipartite block designs over GF(q), maps
-them to storage node/chunk tables where any two nodes share at most
-one chunk, and verifies everything with independent brute-force
-oracles.  Growing a deployed table to the next size never moves an
-existing chunk.
+Builds minimum-size girth-6 bipartite block designs over GF(q) as
+storage node/chunk tables where any two nodes share at most one
+chunk, and verifies everything with independent brute-force oracles.
+Growing a deployed table to the next size never moves an existing
+chunk.
 """
 
 from .cage import (
-    BipartiteDesign,
     BlockCollection,
+    FieldMeta,
+    StorageDesign,
     b_h_subgraph,
     build_scaled_cage,
+    chunks_per_iteration,
     p_n,
     to_dot,
 )
 from .design import (
-    FieldMeta,
     RepairPlan,
-    StorageDesign,
     check_partial_invariants,
     chunk_locations,
-    chunks_per_iteration,
     expand,
     from_json,
-    incidence_design,
     partial_fill,
     repair_plan,
     to_csv,
     to_json,
-    to_storage_design,
 )
 from .errors import (
     FrcageError,

@@ -1,9 +1,12 @@
-"""Girth-6 bipartite cage constructions.
+"""Girth-6 bipartite cages, stored as node/chunk tables.
 
-Designs are bipartite graphs (X, Y) where every X vertex has degree
-k = q+1 and every Y vertex has degree l = p_n(q).  Vertex counts meet
-the girth-6 lower bounds with equality, so the X-side blocks form a
-Steiner system S(2, q+1, p_{n+1}(q)).
+A design is one bipartite graph (X, Y) of girth 6, kept as a table
+read from the Y side: Y vertices are storage nodes, X vertices are data
+chunks, and nodes[g] lists the chunks of node g in ascending id order.
+Every chunk has k = q+1 replicas and every node l = p_n(q) slots.
+Vertex counts meet the girth-6 lower bounds with equality, so the
+chunks' holder sets form a Steiner system S(2, q+1, p_{n+1}(q)).  The
+X side (x_neighbors, chunk -> nodes) is the table's transpose.
 
 Construction is a layered expansion, iterated from a one-chunk seed:
 
@@ -26,22 +29,29 @@ in sorted block order.  Growing n never renumbers or moves anything.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
-from .errors import IndexOutOfRange, InvalidParameter, NotPrimePower, ResourceLimit
+from .errors import IndexOutOfRange, InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
 from .gf import Field, field_new
 from .mols import MolsSet, generate_mols
 
 __all__ = [
-    "BipartiteDesign",
+    "SCHEMA_VERSION",
+    "CONSTRUCTION",
+    "FieldMeta",
+    "StorageDesign",
     "BlockCollection",
     "p_n",
+    "chunks_per_iteration",
     "build_scaled_cage",
     "b_h_subgraph",
     "to_dot",
     "DEFAULT_MAX_EDGES",
 ]
 
+SCHEMA_VERSION = "1"
+CONSTRUCTION = "layered-mols-expansion"
 DEFAULT_MAX_EDGES = 1_000_000
 MAX_EDGES_ENV = "FRC_MAX_EDGES"
 
@@ -55,26 +65,110 @@ def p_n(q: int, n: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
-@dataclass(frozen=True)
-class BipartiteDesign:
-    """A bipartite design: x_neighbors[c] lists the Y ids adjacent to
-    X vertex c, ascending.
+def chunks_per_iteration(q: int, n: int) -> int:
+    """Total chunk count u at iteration n (u = 1 at n = 0)."""
+    return p_n(q, n + 1) * p_n(q, n) // (q + 1)
 
-    No layer structure is stored.  A constructed design's layers are
-    read off x_neighbors (see b_h_subgraph and to_dot), so a design
-    rebuilt from its storage table carries the same information.  gf
-    is the field a construction was built over (None for hand-built or
-    rebuilt designs); it takes no part in equality.
+
+@dataclass(frozen=True)
+class FieldMeta:
+    p: int
+    m: int
+    modulus: tuple[int, ...]
+    primitive: int
+
+    @classmethod
+    def of(cls, f: Field) -> "FieldMeta":
+        return cls(p=f.p, m=f.m, modulus=f.modulus, primitive=f.alpha)
+
+
+# Every canonical table checks its field metadata when it is created,
+# so a construction, a load and each replace share one GF(q) build
+# (0.04 s at q = 256).  A process uses one q or a few.
+@lru_cache(maxsize=8)
+def _field(q: int) -> Field:
+    return field_new(q)
+
+
+@dataclass(frozen=True)
+class StorageDesign:
+    """A design: header plus node rows.  nodes[g] lists the chunk ids of
+    node g; None marks an empty slot left by partial fill.
+
+    Creating one (also by dataclasses.replace) checks the header in
+    O(1) and raises InvalidDesign: there must be v rows, a canonical
+    header must match (q, n) (see _check_header), and any other must
+    have 0 <= u <= v * l.  from_json checks the rows, and building
+    x_neighbors checks that every chunk id lies in [0, u).
     """
 
-    q: int | None
-    n: int | None
+    q: int
+    n: int
     k: int
     l: int
-    u: int
     v: int
-    x_neighbors: tuple[tuple[int, ...], ...]
-    gf: Field | None = field(default=None, compare=False, repr=False)
+    u: int
+    nodes: tuple[tuple[int | None, ...], ...]
+    field_meta: FieldMeta
+    version: str = SCHEMA_VERSION
+    construction: str = CONSTRUCTION
+
+    def __post_init__(self) -> None:
+        if len(self.nodes) != self.v:
+            raise InvalidDesign(f"expected {self.v} nodes, found {len(self.nodes)}")
+        if self.construction == CONSTRUCTION:
+            _check_header(self)
+        elif not 0 <= self.u <= self.v * self.l:  # bounds x_neighbors
+            raise InvalidDesign(f"num_chunks={self.u} is outside [0, num_nodes * l]")
+
+    @cached_property
+    def is_complete(self) -> bool:
+        return not any(None in row for row in self.nodes)
+
+    @cached_property
+    def x_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """x_neighbors[c] lists the nodes holding chunk c, ascending
+        (empty for a chunk blanked by partial fill).  Built on first use
+        and kept for the life of the design; a chunk id outside [0, u)
+        raises InvalidDesign."""
+        return _transpose(self.nodes, self.u)
+
+
+def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
+    """out[j] lists the indices i of the rows holding j, ascending
+    (rows are walked in order); None entries are skipped.  The first
+    row holding an entry outside [0, size) raises InvalidDesign."""
+    out: list[list[int]] = [[] for _ in range(size)]
+    for i, row in enumerate(rows):
+        try:
+            for j in row:
+                if j is not None:
+                    if j < 0:
+                        raise IndexError
+                    out[j].append(i)
+        except IndexError:
+            raise InvalidDesign(f"row {i} holds an id out of range [0, {size})") from None
+    return tuple(map(tuple, out))
+
+
+def _check_header(sd: StorageDesign) -> None:
+    """A canonical header is fixed by (q, n): k = q+1, l = p_n(q),
+    v = p_{n+1}(q), u = chunks_per_iteration(q, n), n >= 1 and
+    field_meta = FieldMeta.of(field_new(q))."""
+    q, n, v = sd.q, sd.n, sd.v
+    # p_{n+1}(q) exceeds both q and 2**(n+1), so these bounds keep p_n
+    # and GF(q) small for any header that could match the row count.
+    if not (2 <= q < v and 1 <= n < v.bit_length()):
+        raise InvalidDesign(f"(q={q}, n={n}) cannot describe {v} nodes")
+    want = (q + 1, p_n(q, n), p_n(q, n + 1), chunks_per_iteration(q, n))
+    if (sd.k, sd.l, v, sd.u) != want:
+        raise InvalidDesign(f"(q={q}, n={n}) gives (k, l, num_nodes, num_chunks) = {want}")
+    try:
+        field = FieldMeta.of(_field(q))
+    except NotPrimePower as exc:
+        raise InvalidDesign(f"header q={q} is not a prime power") from exc
+    if sd.field_meta != field:
+        raise InvalidDesign(f"field metadata does not match GF({q})")
 
 
 @dataclass(frozen=True)
@@ -108,9 +202,9 @@ def _square_order(mols: MolsSet) -> list[tuple[int, int]]:
     return [(m, i) for _, m, i in keyed]
 
 
-def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> BipartiteDesign:
-    """Design with k = q+1, l = p_n(q), |Y| = p_{n+1}(q) and
-    |X| = p_{n+1}(q) * p_n(q) / (q+1).
+def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDesign:
+    """The (q, n) table: k = q+1, l = p_n(q), v = p_{n+1}(q) nodes and
+    u = p_{n+1}(q) * p_n(q) / (q+1) chunks.
 
     Errors are checked in this order: InvalidParameter for n < 1,
     NotPrimePower for q < 2, ResourceLimit when the result would
@@ -130,7 +224,7 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> Bipartite
         edges = p_n(q, i + 1) * p_n(q, i)
         if edges > cap:
             raise ResourceLimit(f"(q={q}, n={i}) needs {edges} edges, cap is {cap}")
-    f = field_new(q)
+    f = _field(q)
     mols = generate_mols(f)
     order = _square_order(mols)
     cells = [sq.cells for sq in mols.squares]
@@ -149,19 +243,21 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> Bipartite
                     [1 + blk[0] * q + m] + [1 + g * q + s for g, s in zip(blk[1:], cells[m][r])]
                 ))
         driving = u_prev
+    del mols, cells  # q**3 cells: free them before the transpose needs room
     l = p_n(q, n)
-    return BipartiteDesign(
-        q=q, n=n, k=q + 1, l=l, u=len(x), v=1 + q * l, x_neighbors=tuple(x), gf=f
+    v = 1 + q * l
+    return StorageDesign(
+        q=q, n=n, k=q + 1, l=l, v=v, u=len(x), nodes=_transpose(x, v), field_meta=FieldMeta.of(f)
     )
 
 
-def b_h_subgraph(d: BipartiteDesign, h: int) -> BipartiteDesign:
+def b_h_subgraph(d: StorageDesign, h: int) -> StorageDesign:
     """Subgraph induced by driving block h: the root, the block's
     layer-1 vertices with their layer-2 children, and the block's own
     layer-3 group.  The result has regular-cage parameters.
 
-    Everything is read off x_neighbors, so a design rebuilt from its
-    storage table works too.  Block h is chunk h of the (q, n-1)
+    Everything is read off x_neighbors, so a table loaded from a file
+    works too.  Block h is chunk h of the (q, n-1)
     prefix, for h < u_{n-1} = p_n(q) * p_{n-1}(q) / (q+1).  Its layer-3
     group is the chunks whose layer-2 parents {(y-1) // q} are exactly
     the block.  The root maps to -1, so no layer-1 row qualifies, and
@@ -169,14 +265,14 @@ def b_h_subgraph(d: BipartiteDesign, h: int) -> BipartiteDesign:
     ValueError when the group does not have q**2 members, as in a
     tampered design, and when the design is too short for its (q, n).
     """
-    if d.n is None or d.n < 2:
+    if d.n < 2:
         raise ValueError("b_h_subgraph requires a design built with n >= 2")
     q = d.q
-    u_prev = p_n(q, d.n) * p_n(q, d.n - 1) // (q + 1)
+    u_prev = chunks_per_iteration(q, d.n - 1)
     if not 0 <= h < u_prev:
         raise IndexOutOfRange(f"h must be in [0, {u_prev}), got {h}")
-    if len(d.x_neighbors) < u_prev:
-        raise ValueError(f"(q={q}, n={d.n}) needs over {u_prev} chunks, got {len(d.x_neighbors)}")
+    if d.u < u_prev:
+        raise ValueError(f"(q={q}, n={d.n}) needs over {u_prev} chunks, got {d.u}")
     block = d.x_neighbors[h]
     members = set(block)
     group = [ys for ys in d.x_neighbors if {(y - 1) // q for y in ys} == members]
@@ -190,18 +286,21 @@ def b_h_subgraph(d: BipartiteDesign, h: int) -> BipartiteDesign:
     x_neighbors = [(0,) + tuple(range(1 + pos * q, 1 + pos * q + q)) for pos in range(len(block))]
     x_neighbors += [tuple(sorted(y_map[y] for y in ys)) for ys in group]
     size = q * q + q + 1
-    return BipartiteDesign(
-        q=q, n=1, k=q + 1, l=q + 1, u=size, v=size, x_neighbors=tuple(x_neighbors)
+    return replace(
+        d, n=1, k=q + 1, l=q + 1, v=size, u=size, nodes=_transpose(x_neighbors, size)
     )
 
 
-def to_dot(d: BipartiteDesign, name: str = "design") -> str:
-    """Graphviz rendering; Y vertices are y<i>, X vertices x<j>.
+def to_dot(d: StorageDesign, name: str = "design") -> str:
+    """Graphviz rendering; Y vertices (nodes) are y<i>, X vertices
+    (chunks) x<j>.  A partially filled table raises InvalidDesign.
 
     Layers are derived from ids and root adjacency: the root Y vertex
     (id 0) is layer 0, other Y vertices layer 2, X vertices linked to
     the root layer 1, the rest 3.
     """
+    if not d.is_complete:
+        raise InvalidDesign("cannot draw a partially filled design as a graph")
     lines = [f"graph {name} {{"]
     for g in range(d.v):
         lines.append(f'  y{g} [shape=circle, layer="{0 if g == 0 else 2}"];')

@@ -62,15 +62,15 @@ def _load(path: str) -> design_mod.StorageDesign:
 
 
 def _cmd_construct(args) -> int:
-    d = build_scaled_cage(args.q, args.n, max_edges=args.max_edges)
-    _write(design_mod.to_json(design_mod.to_storage_design(d)), args.output)
+    sd = build_scaled_cage(args.q, args.n, max_edges=args.max_edges)
+    _write(design_mod.to_json(sd), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
     sd = _load(args.input)
     if sd.is_complete:
-        report = verify_mod.verify_design(design_mod.incidence_design(sd)).as_dict()
+        report = verify_mod.verify_design(sd).as_dict()
         report["complete"] = True
         ok = report["all_ok"]
     else:
@@ -144,8 +144,7 @@ def _cmd_export(args) -> int:
     if args.format == "csv":
         _write(design_mod.to_csv(sd), args.output)
     else:
-        d = design_mod.incidence_design(sd)
-        _write(to_dot(d, name=f"design_q{sd.q}_n{sd.n}"), args.output)
+        _write(to_dot(sd, name=f"design_q{sd.q}_n{sd.n}"), args.output)
     return 0
 
 

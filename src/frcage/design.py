@@ -12,29 +12,27 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 
-from .cage import BipartiteDesign, build_scaled_cage, p_n
+from .cage import (
+    CONSTRUCTION,
+    SCHEMA_VERSION,
+    FieldMeta,
+    StorageDesign,
+    build_scaled_cage,
+    chunks_per_iteration,
+    p_n,
+)
 from .errors import (
     InvalidDesign,
-    InvalidParameter,
     NoSurvivingReplica,
     NodeOutOfRange,
     NotCanonical,
-    NotPrimePower,
     OutOfRange,
 )
-from .gf import Field, field_new
 from .verify import _first_repeat
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "CONSTRUCTION",
-    "FieldMeta",
-    "StorageDesign",
     "RepairPlan",
-    "to_storage_design",
-    "incidence_design",
     "chunk_locations",
     "expand",
     "partial_fill",
@@ -43,55 +41,7 @@ __all__ = [
     "to_json",
     "from_json",
     "to_csv",
-    "chunks_per_iteration",
 ]
-
-SCHEMA_VERSION = "1"
-CONSTRUCTION = "layered-mols-expansion"
-
-
-def chunks_per_iteration(q: int, n: int) -> int:
-    """Total chunk count u at iteration n (u = 1 at n = 0)."""
-    return p_n(q, n + 1) * p_n(q, n) // (q + 1)
-
-
-@dataclass(frozen=True)
-class FieldMeta:
-    p: int
-    m: int
-    modulus: tuple[int, ...]
-    primitive: int
-
-    @classmethod
-    def of(cls, f: Field) -> "FieldMeta":
-        return cls(p=f.p, m=f.m, modulus=f.modulus, primitive=f.alpha)
-
-
-@dataclass(frozen=True)
-class StorageDesign:
-    """Ordered node table.  Slots hold chunk ids; None marks an empty
-    slot left by partial fill."""
-
-    q: int
-    n: int
-    k: int
-    l: int
-    num_nodes: int
-    num_chunks: int
-    nodes: tuple[tuple[int | None, ...], ...]
-    field_meta: FieldMeta
-    version: str = SCHEMA_VERSION
-    construction: str = CONSTRUCTION
-
-    @property
-    def is_complete(self) -> bool:
-        return not any(None in row for row in self.nodes)
-
-    @cached_property
-    def locations(self) -> tuple[tuple[int, ...], ...]:
-        """Chunk-location index, built on first use and kept for the
-        life of the design; see chunk_locations."""
-        return _transpose(self.nodes, self.num_chunks)
 
 
 @dataclass(frozen=True)
@@ -102,47 +52,15 @@ class RepairPlan:
     assignments: tuple[tuple[int, int], ...]
 
 
-def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
-    """out[j] lists the indices i of the rows holding j, ascending
-    (rows are walked in order); None entries are skipped."""
-    out: list[list[int]] = [[] for _ in range(size)]
-    for i, row in enumerate(rows):
-        for j in row:
-            if j is not None:
-                out[j].append(i)
-    return tuple(map(tuple, out))
-
-
-def to_storage_design(d: BipartiteDesign) -> StorageDesign:
-    """Transpose a constructed design into its node/chunk table."""
-    if d.q is None or d.n is None:
-        raise ValueError("storage view needs a design with (q, n) metadata")
-    return StorageDesign(
-        q=d.q, n=d.n, k=d.k, l=d.l, num_nodes=d.v, num_chunks=d.u,
-        nodes=_transpose(d.x_neighbors, d.v),
-        field_meta=FieldMeta.of(d.gf if d.gf is not None else field_new(d.q)),
-    )
-
-
-def incidence_design(sd: StorageDesign) -> BipartiteDesign:
-    """Rebuild the bipartite graph from a complete storage table."""
-    if not sd.is_complete:
-        raise InvalidDesign("cannot rebuild a graph from a partially filled design")
-    return BipartiteDesign(
-        q=sd.q, n=sd.n, k=sd.k, l=sd.l, u=sd.num_chunks, v=sd.num_nodes,
-        x_neighbors=chunk_locations(sd),
-    )
-
-
 def chunk_locations(sd: StorageDesign) -> tuple[tuple[int, ...], ...]:
     """For every chunk id, the ascending list of nodes storing it
-    (empty for chunks blanked by partial fill).  The index is computed
-    once per design, on first use, and every later call returns it."""
-    return sd.locations
+    (empty for chunks blanked by partial fill): the design's
+    x_neighbors, computed once on first use."""
+    return sd.x_neighbors
 
 
 def _require_canonical(sd: StorageDesign) -> None:
-    """Refuse a table whose (q, n) header was not checked on load."""
+    """Refuse a table whose (q, n) header was not checked on creation."""
     if sd.version != SCHEMA_VERSION or sd.construction != CONSTRUCTION:
         raise NotCanonical(f"unknown provenance: version={sd.version!r}, "
                            f"construction={sd.construction!r}")
@@ -162,12 +80,10 @@ def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
     _require_canonical(old)
     if not old.is_complete:
         raise NotCanonical("partially filled designs cannot be expanded")
-    if old.n < 1:
-        raise NotCanonical(f"expansion needs n >= 1, got n={old.n}")
-    new = to_storage_design(build_scaled_cage(old.q, old.n + 1, max_edges=max_edges))
+    new = build_scaled_cage(old.q, old.n + 1, max_edges=max_edges)
     v, l = p_n(old.q, old.n + 1), p_n(old.q, old.n)
     prefix = replace(
-        new, n=old.n, l=l, num_nodes=v, num_chunks=chunks_per_iteration(old.q, old.n),
+        new, n=old.n, l=l, v=v, u=chunks_per_iteration(old.q, old.n),
         nodes=tuple(row[:l] for row in new.nodes[:v]),
     )
     if prefix != old:
@@ -188,13 +104,9 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     _require_canonical(full)
     if not full.is_complete:
         raise InvalidDesign("partial_fill expects the full (q, n) design")
-    if full.n < 1:
-        raise InvalidParameter(f"partial fill needs n >= 1, got n={full.n}")
     u_prev = chunks_per_iteration(full.q, full.n - 1)
-    if not u_prev < u_tilde <= full.num_chunks:
-        raise OutOfRange(
-            f"u_tilde must be in ({u_prev}, {full.num_chunks}], got {u_tilde}"
-        )
+    if not u_prev < u_tilde <= full.u:
+        raise OutOfRange(f"u_tilde must be in ({u_prev}, {full.u}], got {u_tilde}")
     nodes = tuple(
         tuple(c if c is not None and c < u_tilde else None for c in row) for row in full.nodes
     )
@@ -207,15 +119,15 @@ def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
     next larger holder, else the smallest).
 
     Each holder of a chunk is the successor of exactly one other
-    holder, so over all num_nodes single-node failures every node
+    holder, so over all v single-node failures every node
     serves one request per chunk it holds: exactly l on a complete
     table and at most l on a partial one.  Helpers are distinct because
     two chunks of one node never share another holder, or that holder
     and the failed node would share a chunk pair; a table that breaks
     this raises InvalidDesign.
     """
-    if not 0 <= failed < sd.num_nodes:
-        raise NodeOutOfRange(f"node id must be in [0, {sd.num_nodes}), got {failed}")
+    if not 0 <= failed < sd.v:
+        raise NodeOutOfRange(f"node id must be in [0, {sd.v}), got {failed}")
     locs = chunk_locations(sd)
     assignments, used = [], set()
     for chunk in sd.nodes[failed]:
@@ -247,18 +159,16 @@ def check_partial_invariants(sd: StorageDesign):
     present chunk lacks k replicas ("replicas": (chunk, count)), nodes
     a < b share chunks c0 < c ("overlap": (a, b, c0, c)), or the first
     blank chunk lies below a present one ("blank_gap": (blank, present)).
-    detail is empty when ok; a chunk id out of range raises ValueError."""
+    detail is empty when ok; a chunk id out of range raises InvalidDesign."""
     for g, row in enumerate(sd.nodes):
         present = [c for c in row if c is not None]
         if len(set(present)) != len(present):
             return False, {"duplicate_slot": (g,)}
-        if present and not 0 <= min(present) <= max(present) < sd.num_chunks:
-            raise ValueError(f"node {g} holds a chunk id outside [0, {sd.num_chunks})")
     bad = _replica_defect(sd)
     if bad is not None:
         return False, {"replicas": bad}
     locs = chunk_locations(sd)
-    w = _first_repeat(locs, sd.num_nodes)
+    w = _first_repeat(locs, sd.v)
     if w is not None:
         c0, a, c, b = w
         return False, {"overlap": (a, b, c0, c)}
@@ -280,16 +190,18 @@ def _int(x):
     return x
 
 
-# Header key -> parser.  Each key is a StorageDesign field; "field"
-# holds asdict(field_meta) next to them.
-_HEADER = {"version": str, "construction": str} | dict.fromkeys(
-    ("q", "n", "k", "l", "num_nodes", "num_chunks"), _int
-)
+# JSON header key -> (StorageDesign field, parser); "field" holds
+# asdict(field_meta) next to them.
+_HEADER = {
+    "version": ("version", str), "construction": ("construction", str),
+    "q": ("q", _int), "n": ("n", _int), "k": ("k", _int), "l": ("l", _int),
+    "num_nodes": ("v", _int), "num_chunks": ("u", _int),
+}
 
 
 def to_json(sd: StorageDesign) -> str:
     """Canonical JSON: header plus node rows, empty slots as null."""
-    header = {key: getattr(sd, key) for key in _HEADER}
+    header = {key: getattr(sd, name) for key, (name, _) in _HEADER.items()}
     header["field"] = asdict(sd.field_meta)
     payload = {"header": header, "nodes": sd.nodes}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -304,27 +216,22 @@ def from_json(text: str) -> StorageDesign:
     try:
         header = payload["header"]
         fmeta = header["field"]
-        sd = StorageDesign(
-            **{key: parse(header[key]) for key, parse in _HEADER.items()},
-            nodes=tuple(map(tuple, payload["nodes"])),
-            field_meta=FieldMeta(
-                p=_int(fmeta["p"]), m=_int(fmeta["m"]),
-                modulus=tuple(map(_int, fmeta["modulus"])), primitive=_int(fmeta["primitive"]),
-            ),
+        fields = {name: parse(header[key]) for key, (name, parse) in _HEADER.items()}
+        nodes = tuple(map(tuple, payload["nodes"]))
+        field_meta = FieldMeta(
+            p=_int(fmeta["p"]), m=_int(fmeta["m"]),
+            modulus=tuple(map(_int, fmeta["modulus"])), primitive=_int(fmeta["primitive"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDesign(f"malformed design payload: {exc}") from exc
+    sd = StorageDesign(**fields, nodes=nodes, field_meta=field_meta)
     _validate(sd)
     return sd
 
 
 def _validate(sd: StorageDesign) -> None:
-    if len(sd.nodes) != sd.num_nodes:
-        raise InvalidDesign(f"expected {sd.num_nodes} nodes, found {len(sd.nodes)}")
-    if sd.construction == CONSTRUCTION:
-        _check_header(sd)
-    elif not 0 <= sd.num_chunks <= sd.num_nodes * sd.l:  # bounds the location index
-        raise InvalidDesign(f"num_chunks={sd.num_chunks} is outside [0, num_nodes * l]")
+    """Row checks; the header was checked when sd was created, and chunk
+    ids are range-checked as _replica_defect builds x_neighbors."""
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
@@ -336,31 +243,9 @@ def _validate(sd: StorageDesign) -> None:
             raise InvalidDesign(f"node {g} repeats a chunk id")
         if sorted(present) != list(present):
             raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
-        if present and not (0 <= present[0] and present[-1] < sd.num_chunks):
-            raise InvalidDesign(f"node {g} references a chunk id out of range")
     bad = _replica_defect(sd)
     if bad is not None:
         raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")
-
-
-def _check_header(sd: StorageDesign) -> None:
-    """A canonical header is fixed by (q, n): k = q+1, l = p_n(q),
-    num_nodes = p_{n+1}(q), num_chunks = chunks_per_iteration(q, n),
-    n >= 1 and field_meta = FieldMeta.of(field_new(q))."""
-    q, n, v = sd.q, sd.n, sd.num_nodes
-    # p_{n+1}(q) exceeds both q and 2**(n+1), so these bounds keep p_n
-    # and GF(q) small for any header that could match the row count.
-    if not (2 <= q < v and 1 <= n < v.bit_length()):
-        raise InvalidDesign(f"(q={q}, n={n}) cannot describe {v} nodes")
-    want = (q + 1, p_n(q, n), p_n(q, n + 1), chunks_per_iteration(q, n))
-    if (sd.k, sd.l, v, sd.num_chunks) != want:
-        raise InvalidDesign(f"(q={q}, n={n}) gives (k, l, num_nodes, num_chunks) = {want}")
-    try:
-        field = FieldMeta.of(field_new(q))
-    except NotPrimePower as exc:
-        raise InvalidDesign(f"header q={q} is not a prime power") from exc
-    if sd.field_meta != field:
-        raise InvalidDesign(f"field metadata does not match GF({q})")
 
 
 def to_csv(sd: StorageDesign) -> str:

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cage import BipartiteDesign, BlockCollection
-from .errors import InvalidDegrees
+from .cage import BlockCollection, StorageDesign
+from .errors import InvalidDegrees, InvalidDesign
 
 __all__ = [
     "BoundPair",
@@ -128,13 +128,14 @@ def _first_repeat(blocks, num_elements: int):
     raise AssertionError("witness walk and replay disagree")  # unreachable
 
 
-def girth_at_least_six(d: BipartiteDesign):
-    """(True, None) when no two X vertices share two Y neighbors;
-    otherwise (False, (x, y, x2, y2)) naming one 4-cycle.
+def girth_at_least_six(d: StorageDesign):
+    """(True, None) when no two X vertices (chunks) share two Y
+    neighbors (nodes); otherwise (False, (x, y, x2, y2)) naming one
+    4-cycle.
 
     A Y pair held by two X vertices is a 4-cycle, so this runs the cover
-    walk over the X vertices' neighbor sets, and on a defect the witness
-    walk: x2 is the first vertex whose pair (y, y2) was seen before, at x.
+    walk over x_neighbors, and on a defect the witness walk: x2 is the
+    first vertex whose pair (y, y2) was seen before, at x.
     """
     w = _first_repeat(d.x_neighbors, d.v)
     return w is None, w
@@ -185,29 +186,26 @@ class VerificationReport:
         }
 
 
-def verify_design(d: BipartiteDesign) -> VerificationReport:
+def verify_design(d: StorageDesign) -> VerificationReport:
     """Run degree, girth, Steiner-exactness and bound-tightness checks
     against the design's declared parameters.  Failures are reported,
-    never raised."""
+    never raised; a partially filled table raises InvalidDesign."""
+    if not d.is_complete:
+        raise InvalidDesign("cannot verify a partially filled design as a complete one")
     witnesses: dict = {}
 
-    degrees_ok = len(d.x_neighbors) == d.u
+    degrees_ok = True
+    for c, ys in enumerate(d.x_neighbors):
+        if len(ys) != d.k or len(set(ys)) != d.k:
+            degrees_ok = False
+            witnesses["degree"] = ("x", c, len(set(ys)))
+            break
     if degrees_ok:
-        for c, ys in enumerate(d.x_neighbors):
-            if len(ys) != d.k or len(set(ys)) != d.k:
-                degrees_ok = False
-                witnesses["degree"] = ("x", c, len(set(ys)))
-                break
-    if degrees_ok:
-        y_deg = [0] * d.v
-        for ys in d.x_neighbors:
-            for g in ys:
-                y_deg[g] += 1
-        for g, deg in enumerate(y_deg):
-            if deg != d.l:
-                degrees_ok = False
-                witnesses["degree"] = ("y", g, deg)
-                break
+        # a node's degree is its row length, since every slot is filled
+        g = next((g for g, deg in enumerate(map(len, d.nodes)) if deg != d.l), None)
+        if g is not None:
+            degrees_ok = False
+            witnesses["degree"] = ("y", g, len(d.nodes[g]))
 
     girth_ok, w = girth_at_least_six(d)
     if w is not None:

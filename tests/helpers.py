@@ -8,13 +8,13 @@ behind a matching bug in its checker.
 from collections import Counter
 from itertools import combinations, permutations
 
-from frcage import BipartiteDesign, FieldMeta, StorageDesign, field_new, repair_plan
+from frcage import FieldMeta, StorageDesign, field_new, repair_plan
 
 
-def naive_no_four_cycles(d: BipartiteDesign) -> bool:
+def naive_no_four_cycles(d: StorageDesign) -> bool:
     """Literal enumeration over all (x, y, x', y') quadruples.
     Quadratic in both sides; keep to designs with |X| <= 40."""
-    nb = [set(ys) for ys in d.x_neighbors]
+    nb = [set(ys) for ys in holders_from_rows(d.nodes, d.u)]
     for x1 in range(d.u):
         for x2 in range(x1 + 1, d.u):
             for y1 in nb[x1]:
@@ -39,20 +39,14 @@ def is_steiner_exact(blocks, num_elements: int) -> bool:
     return len(counts) == want and set(counts.values()) == {1}
 
 
-def incidence_from_blocks(blocks, num_elements, q=None, n=None) -> BipartiteDesign:
-    """Hand-built bipartite design: one X vertex per block."""
-    k = len(blocks[0])
-    replicas = Counter(e for b in blocks for e in b)
-    l = replicas.most_common(1)[0][1]
-    return BipartiteDesign(
-        q=q,
-        n=n,
-        k=k,
-        l=l,
-        u=len(blocks),
-        v=num_elements,
-        x_neighbors=tuple(tuple(sorted(b)) for b in blocks),
-    )
+def incidence_from_blocks(blocks, num_elements) -> StorageDesign:
+    """Hand-built design with one chunk per block: node e holds chunk c
+    once for each time block c lists e."""
+    rows = [[] for _ in range(num_elements)]
+    for c, block in enumerate(blocks):
+        for e in block:
+            rows[e].append(c)
+    return storage_from_rows(rows, num_chunks=len(blocks), k=len(blocks[0]))
 
 
 def holders_from_rows(rows, num_chunks) -> tuple[tuple[int, ...], ...]:
@@ -73,9 +67,9 @@ def ring_successor(holders, failed: int) -> int:
 
 def helper_loads(sd: StorageDesign) -> list[int]:
     """Requests each node serves, summed over the repair plans of all
-    num_nodes single-node failures."""
-    loads = [0] * sd.num_nodes
-    for failed in range(sd.num_nodes):
+    v single-node failures."""
+    loads = [0] * sd.v
+    for failed in range(sd.v):
         for _, helper in repair_plan(sd, failed).assignments:
             loads[helper] += 1
     return loads
@@ -131,14 +125,14 @@ def bose_sts15():
 
 
 def storage_from_rows(rows, num_chunks, k, q=3, n=1) -> StorageDesign:
-    """Hand-built storage table for repair tests."""
+    """Hand-built storage table; l is the longest row."""
     return StorageDesign(
         q=q,
         n=n,
         k=k,
-        l=len(rows[0]),
-        num_nodes=len(rows),
-        num_chunks=num_chunks,
+        l=max(map(len, rows)),
+        v=len(rows),
+        u=num_chunks,
         nodes=tuple(tuple(r) for r in rows),
         field_meta=FieldMeta.of(field_new(q)),
         construction="hand-built",
@@ -201,13 +195,13 @@ class FieldOracle:
         return self._number(poly_mod(prod, self.modulus, self.p))
 
 
-def bipartite_isomorphic(d1: BipartiteDesign, d2: BipartiteDesign) -> bool:
+def bipartite_isomorphic(d1: StorageDesign, d2: StorageDesign) -> bool:
     """Backtracking search for a Y-relabeling carrying d1's block
     multiset onto d2's.  Fine for the small designs used in tests."""
     if (d1.u, d1.v, d1.k, d1.l) != (d2.u, d2.v, d2.k, d2.l):
         return False
-    blocks1 = [frozenset(b) for b in d1.x_neighbors]
-    blocks2 = set(frozenset(b) for b in d2.x_neighbors)
+    blocks1 = [frozenset(b) for b in holders_from_rows(d1.nodes, d1.u)]
+    blocks2 = set(frozenset(b) for b in holders_from_rows(d2.nodes, d2.u))
     if len(blocks2) != d2.u:
         return False
 

@@ -25,7 +25,6 @@ from frcage import (
     p_n,
     partial_fill,
     repair_plan,
-    to_storage_design,
 )
 from conftest import (
     GOLDEN_MOLS_Q3,
@@ -73,7 +72,7 @@ def test_criterion_02_regular_cage_golden():
 
     def body():
         d2 = build_scaled_cage(2, 1)
-        assert [list(r) for r in to_storage_design(d2).nodes] == GOLDEN_S237
+        assert [list(r) for r in d2.nodes] == GOLDEN_S237
         relabeled = sorted(
             tuple(sorted(X_SIDE_RELABEL_Q2[e] for e in b)) for b in d2.x_neighbors
         )
@@ -90,7 +89,7 @@ def test_criterion_03_scaled_cage_golden():
     def body():
         d = build_scaled_cage(2, 2)
         assert (d.v, d.u, d.k, d.l) == (15, 35, 3, 7)
-        assert [list(r) for r in to_storage_design(d).nodes] == GOLDEN_S2315_T
+        assert [list(r) for r in d.nodes] == GOLDEN_S2315_T
 
     run_criterion(3, "15-node/35-chunk table reproduced exactly", 0.010, body, best_of=3)
 
@@ -144,10 +143,10 @@ def test_criterion_06_mols_properties():
 def test_criterion_07_expansion_invariance():
     def body():
         for q, n_max in ((2, 3), (3, 2)):
-            sd = to_storage_design(build_scaled_cage(q, 1))
+            sd = build_scaled_cage(q, 1)
             for _ in range(n_max - 1):
                 bigger = expand(sd)
-                restricted = tuple(bigger.nodes[g][: sd.l] for g in range(sd.num_nodes))
+                restricted = tuple(bigger.nodes[g][: sd.l] for g in range(sd.v))
                 assert restricted == sd.nodes, (q, bigger.n)
                 sd = bigger
 
@@ -159,7 +158,7 @@ def test_criterion_08_repair_property():
 
     def body():
         for q, n in params:
-            sd = to_storage_design(build_scaled_cage(q, n))
+            sd = build_scaled_cage(q, n)
             locs = chunk_locations(sd)
             # exhaustive pairwise-overlap check via replica groups
             seen = {}
@@ -169,7 +168,7 @@ def test_criterion_08_repair_property():
                         pair = (holders[i], holders[j])
                         assert pair not in seen, (q, n, pair, c, seen[pair])
                         seen[pair] = c
-            for g in range(sd.num_nodes):
+            for g in range(sd.v):
                 plan = repair_plan(sd, g)
                 hs = [h for _, h in plan.assignments]
                 assert len(plan.assignments) == sd.l, (q, n, g)
@@ -182,7 +181,7 @@ def test_criterion_08_repair_property():
 
 def test_criterion_09_partial_fill():
     def body():
-        full = to_storage_design(build_scaled_cage(2, 2))
+        full = build_scaled_cage(2, 2)
         for u_tilde in range(8, 36):
             part = partial_fill(full, u_tilde)
             locs = chunk_locations(part)

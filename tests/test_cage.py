@@ -5,19 +5,20 @@ from dataclasses import replace
 import pytest
 
 from frcage import (
-    BipartiteDesign,
     BlockCollection,
     IndexOutOfRange,
+    InvalidDesign,
     NotPrimePower,
     ResourceLimit,
     b_h_subgraph,
     build_scaled_cage,
     check_steiner_exact,
     chunks_per_iteration,
-    incidence_design,
+    from_json,
     p_n,
+    partial_fill,
     to_dot,
-    to_storage_design,
+    to_json,
 )
 from conftest import GOLDEN_S237, GOLDEN_S2315_T, X_SIDE_RELABEL_Q2
 import helpers
@@ -38,7 +39,7 @@ def test_p_n_values():
 def test_regular_cage_q2_golden():
     d = build_scaled_cage(2, 1)
     assert (d.u, d.v, d.k, d.l) == (7, 7, 3, 3)
-    assert [list(r) for r in to_storage_design(d).nodes] == GOLDEN_S237
+    assert [list(r) for r in d.nodes] == GOLDEN_S237
     # the X-side list carries the same system under the documented relabeling
     relabeled = sorted(
         tuple(sorted(X_SIDE_RELABEL_Q2[e] for e in b)) for b in d.x_neighbors
@@ -93,7 +94,7 @@ def test_resource_limit():
 def test_blocks_sides_are_mutual_transposes(q, n):
     d = build_scaled_cage(q, n)
     bx = d.x_neighbors
-    by = to_storage_design(d).nodes
+    by = d.nodes
     for x, ys in enumerate(bx):
         for y in ys:
             assert x in by[y]
@@ -147,11 +148,10 @@ def test_determinism():
     a = build_scaled_cage(3, 2)
     b = build_scaled_cage(3, 2)
     assert a == b
-    assert to_storage_design(a) == to_storage_design(b)
 
 
 def test_golden_q2_n2_table():
-    sd = to_storage_design(build_scaled_cage(2, 2))
+    sd = build_scaled_cage(2, 2)
     assert [list(r) for r in sd.nodes] == GOLDEN_S2315_T
 
 
@@ -171,7 +171,7 @@ def test_b_h_subgraph_isomorphic_to_regular_cage():
 def test_b_h_subgraph_block_zero_is_literal():
     # the first driving block is 0..q, so its subgraph is the cage itself
     d = build_scaled_cage(2, 2)
-    assert b_h_subgraph(d, 0).x_neighbors == build_scaled_cage(2, 1).x_neighbors
+    assert b_h_subgraph(d, 0) == build_scaled_cage(2, 1)
 
 
 def test_b_h_subgraph_errors():
@@ -183,7 +183,7 @@ def test_b_h_subgraph_errors():
     with pytest.raises(ValueError):
         b_h_subgraph(build_scaled_cage(2, 1), 0)
     # a (2, 2) table whose header claims n = 4 has no chunk 40
-    short = incidence_design(replace(to_storage_design(d), n=4))
+    short = replace(d, n=4, construction="hand-built")
     with pytest.raises(ValueError, match="needs over 155 chunks"):
         b_h_subgraph(short, 40)
 
@@ -200,7 +200,7 @@ def test_b_h_subgraph_q3():
 @pytest.mark.parametrize("q", [2, 3])
 def test_b_h_subgraph_of_rebuilt_design(q):
     d = build_scaled_cage(q, 2)
-    rebuilt = incidence_design(to_storage_design(d))
+    rebuilt = from_json(to_json(d))
     for h in range(p_n(q, 2)):
         assert b_h_subgraph(rebuilt, h) == b_h_subgraph(d, h)
 
@@ -217,9 +217,7 @@ def test_b_h_subgraph_group_is_checked():
     a = layer3[0]
     b = next(c for c in layer3 if (rows[c][-1] - 1) // 2 != (rows[a][-1] - 1) // 2)
     rows[a][-1], rows[b][-1] = rows[b][-1], rows[a][-1]
-    tampered = BipartiteDesign(
-        q=2, n=2, k=3, l=7, u=d.u, v=d.v, x_neighbors=tuple(tuple(sorted(r)) for r in rows)
-    )
+    tampered = replace(d, nodes=helpers.incidence_from_blocks(rows, d.v).nodes)
     for c in (a, b):
         h = d.x_neighbors.index(nodes(d.x_neighbors[c]))
         with pytest.raises(ValueError, match="layer-3 chunks"):
@@ -266,19 +264,21 @@ def test_to_dot():
     assert "y0 -- x0;" in dot
     assert dot.count("--") == d.u * d.k
     assert to_dot(d, name="g") == dot
+    with pytest.raises(InvalidDesign, match="partially filled"):
+        to_dot(partial_fill(build_scaled_cage(2, 2), 30))
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2), (9, 1)])
 def test_neighbor_lists_strictly_ascend(q, n):
     d = build_scaled_cage(q, n)
-    for rows in (d.x_neighbors, to_storage_design(d).nodes):
+    for rows in (d.x_neighbors, d.nodes):
         for row in rows:
             assert all(a < b for a, b in zip(row, row[1:])), row
 
 
 def test_to_dot_derived_layers_match_tags():
     d = build_scaled_cage(2, 2)
-    rebuilt = incidence_design(to_storage_design(d))
+    rebuilt = from_json(to_json(d))
     assert rebuilt == d  # no layer structure is lost on the round trip
     assert to_dot(rebuilt) == to_dot(d)
     # the rendered layers are the construction's: the root is layer 0,

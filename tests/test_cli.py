@@ -10,8 +10,7 @@ import time
 import pytest
 
 from frcage import (
-    build_scaled_cage, chunks_per_iteration, incidence_design, to_json, to_storage_design,
-    verify_design,
+    build_scaled_cage, chunks_per_iteration, to_json, verify_design,
 )
 from frcage import cli
 from frcage.cli import main
@@ -47,7 +46,7 @@ def test_construct_and_verify_roundtrip(tmp_path, capsys):
     report = json.loads(out)
     assert report["all_ok"] is True and report["complete"] is True
     # file-based report matches the in-memory one
-    in_mem = verify_design(incidence_design(to_storage_design(build_scaled_cage(2, 2))))
+    in_mem = verify_design(build_scaled_cage(2, 2))
     assert {k: report[k] for k in ("girth_ok", "degrees_ok", "steiner_exact", "bounds_tight")} == {
         "girth_ok": in_mem.girth_ok,
         "degrees_ok": in_mem.degrees_ok,
@@ -227,6 +226,16 @@ def test_export_cli(tmp_path, capsys):
     assert out.splitlines()[0] == "0,0,1,2"
 
 
+def test_export_dot_refuses_a_filled_design(tmp_path, capsys):
+    path, filled = tmp_path / "d.json", tmp_path / "f.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    run(capsys, "fill", "-i", str(path), "--chunks", "30", "-o", str(filled))
+    code, out, err = run(capsys, "export", "-i", str(filled), "--format", "dot")
+    assert (code, out) == (2, "") and err.startswith("InvalidDesign:")
+    code, out, _ = run(capsys, "export", "-i", str(filled), "--format", "csv")
+    assert code == 0 and ",," in out
+
+
 def test_env_edge_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FRC_MAX_EDGES", "10")
     code, _, err = run(capsys, "construct", "--q", "2", "--n", "1")
@@ -281,7 +290,7 @@ def test_header_must_match_q_and_n(tmp_path, capsys, monkeypatch):
 
     # absurd headers are bounded by the row count before p_n or GF(q) is computed
     for key, value in (("n", 10**9), ("q", 2**61 - 1)):
-        payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 2))))
+        payload = json.loads(to_json(build_scaled_cage(2, 2)))
         payload["header"][key] = value
         path.write_text(json.dumps(payload))
         t0 = time.perf_counter()
@@ -312,7 +321,7 @@ def _refused_fast(capsys, tmp_path, text, error, *argvs):
 
 
 def _q2n1_payload():
-    return json.loads(to_json(to_storage_design(build_scaled_cage(2, 1))))
+    return json.loads(to_json(build_scaled_cage(2, 1)))
 
 
 @pytest.mark.parametrize("key", ["slot", "q"])

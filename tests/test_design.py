@@ -29,39 +29,59 @@ from frcage import (
     repair_plan,
     to_csv,
     to_json,
-    to_storage_design,
     verify_design,
-    incidence_design,
 )
 from conftest import GOLDEN_S237, GOLDEN_S2315_T, GOLDEN_S239
 import helpers
 
 
-def test_to_storage_design_q2_n2_golden():
-    sd = to_storage_design(build_scaled_cage(2, 2))
+def test_table_q2_n2_golden():
+    sd = build_scaled_cage(2, 2)
     assert [list(r) for r in sd.nodes] == GOLDEN_S2315_T
-    assert (sd.num_nodes, sd.num_chunks, sd.k, sd.l) == (15, 35, 3, 7)
+    assert (sd.v, sd.u, sd.k, sd.l) == (15, 35, 3, 7)
 
 
-def test_to_storage_design_q2_n1_golden():
-    sd = to_storage_design(build_scaled_cage(2, 1))
+def test_table_q2_n1_golden():
+    sd = build_scaled_cage(2, 1)
     assert [list(r) for r in sd.nodes] == GOLDEN_S237
-    assert (sd.num_nodes, sd.num_chunks, sd.k) == (7, 7, 3)
+    assert (sd.v, sd.u, sd.k) == (7, 7, 3)
 
 
 def test_storage_design_keeps_its_field():
-    d = build_scaled_cage(4, 1)
-    assert d.gf.q == 4
-    sd = to_storage_design(d)
+    sd = build_scaled_cage(4, 1)
     assert sd.field_meta == FieldMeta.of(field_new(4))
-    assert to_storage_design(replace(d, gf=None)) == sd
+
+
+def test_field_is_built_once_per_q(monkeypatch):
+    built = []
+
+    def counting(q):
+        built.append(q)
+        return field_new(q)
+
+    frcage.cage._field.cache_clear()
+    monkeypatch.setattr(frcage.cage, "field_new", counting)
+    sd = build_scaled_cage(3, 2)
+    partial_fill(sd, 20)
+    from_json(to_json(expand(build_scaled_cage(3, 1))))
+    assert built == [3]
+
+
+def test_in_memory_header_is_checked():
+    sd = build_scaled_cage(2, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidDesign, match="cannot describe"):
+        partial_fill(replace(sd, q=3, n=10**7), 3)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(InvalidDesign, match="expected 7 nodes"):
+        StorageDesign(q=2, n=1, k=3, l=3, v=7, u=7, nodes=sd.nodes[1:], field_meta=sd.field_meta)
 
 
 def test_slot_count_identity():
     for q, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        sd = to_storage_design(build_scaled_cage(q, n))
-        assert sum(len(r) for r in sd.nodes) == sd.k * sd.num_chunks
-        assert sd.l * sd.num_nodes == sd.k * sd.num_chunks
+        sd = build_scaled_cage(q, n)
+        assert sum(len(r) for r in sd.nodes) == sd.k * sd.u
+        assert sd.l * sd.v == sd.k * sd.u
 
 
 # ---------------------------------------------------------------------------
@@ -69,18 +89,18 @@ def test_slot_count_identity():
 # ---------------------------------------------------------------------------
 
 def test_chunk_locations_computed_once():
-    sd = to_storage_design(build_scaled_cage(2, 2))
+    sd = build_scaled_cage(2, 2)
     assert chunk_locations(sd) is chunk_locations(sd)
-    assert incidence_design(sd).x_neighbors is chunk_locations(sd)
+    assert sd.x_neighbors is chunk_locations(sd)
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
 def test_chunk_locations_match_rows(q, n):
-    full = to_storage_design(build_scaled_cage(q, n))
+    full = build_scaled_cage(q, n)
     u_prev = chunks_per_iteration(q, n - 1)
-    for sd in (full, partial_fill(full, u_prev + 1), partial_fill(full, full.num_chunks - 3)):
+    for sd in (full, partial_fill(full, u_prev + 1), partial_fill(full, full.u - 3)):
         rows = [[c for c in row if c is not None] for row in sd.nodes]
-        assert chunk_locations(sd) == helpers.holders_from_rows(rows, sd.num_chunks)
+        assert chunk_locations(sd) == helpers.holders_from_rows(rows, sd.u)
 
 
 # ---------------------------------------------------------------------------
@@ -88,36 +108,35 @@ def test_chunk_locations_match_rows(q, n):
 # ---------------------------------------------------------------------------
 
 def test_expand_q2_keeps_prefixes():
-    old = to_storage_design(build_scaled_cage(2, 1))
+    old = build_scaled_cage(2, 1)
     new = expand(old)
-    assert (new.num_nodes, new.num_chunks, new.k, new.l) == (15, 35, 3, 7)
+    assert (new.v, new.u, new.k, new.l) == (15, 35, 3, 7)
     for g, row in enumerate(old.nodes):
         assert new.nodes[g][: old.l] == row
-    assert new == to_storage_design(build_scaled_cage(2, 2))
+    assert new == build_scaled_cage(2, 2)
 
 
 def test_expand_restriction_equals_old_exactly():
     for q in (2, 3):
-        old = to_storage_design(build_scaled_cage(q, 1))
+        old = build_scaled_cage(q, 1)
         new = expand(old)
-        restricted = tuple(new.nodes[g][: old.l] for g in range(old.num_nodes))
+        restricted = tuple(new.nodes[g][: old.l] for g in range(old.v))
         assert restricted == old.nodes
-        assert to_json(old) == to_json(to_storage_design(build_scaled_cage(q, 1)))
+        assert to_json(old) == to_json(build_scaled_cage(q, 1))
 
 
 def test_expand_q3_result_verifies():
-    new = expand(to_storage_design(build_scaled_cage(3, 1)))
-    assert (new.num_nodes, new.num_chunks) == (40, 130)
-    assert verify_design(incidence_design(new)).all_ok
+    new = expand(build_scaled_cage(3, 1))
+    assert (new.v, new.u) == (40, 130)
+    assert verify_design(new).all_ok
 
 
 def test_expand_rejects_tampered_design():
-    sd = to_storage_design(build_scaled_cage(2, 1))
+    sd = build_scaled_cage(2, 1)
     rows = list(sd.nodes)
     rows[1], rows[2] = rows[2], rows[1]
     tampered = StorageDesign(
-        q=sd.q, n=sd.n, k=sd.k, l=sd.l,
-        num_nodes=sd.num_nodes, num_chunks=sd.num_chunks,
+        q=sd.q, n=sd.n, k=sd.k, l=sd.l, v=sd.v, u=sd.u,
         nodes=tuple(rows), field_meta=sd.field_meta,
     )
     with pytest.raises(NotCanonical):
@@ -128,48 +147,51 @@ def _swap_first_rows(nodes):
     return (nodes[1], nodes[0]) + nodes[2:]
 
 
+# Creating a table whose header does not match its (q, n) or its rows
+# raises InvalidDesign, before expand is called.
 @pytest.mark.parametrize(
-    "edit",
+    "edit, error",
     [
-        lambda sd: replace(sd, nodes=_swap_first_rows(sd.nodes)),
-        lambda sd: replace(sd, field_meta=replace(sd.field_meta, primitive=sd.q - 2)),
-        lambda sd: replace(sd, field_meta=FieldMeta.of(field_new(sd.q + 2))),
-        lambda sd: replace(sd, l=sd.l + 1),
-        lambda sd: replace(sd, nodes=sd.nodes[:-1]),
-        lambda sd: replace(sd, nodes=sd.nodes[:-1], num_nodes=sd.num_nodes - 1),
-        lambda sd: replace(sd, num_chunks=sd.num_chunks + 1),
+        (lambda sd: replace(sd, nodes=_swap_first_rows(sd.nodes)), NotCanonical),
+        (lambda sd: replace(sd, field_meta=replace(sd.field_meta, primitive=sd.q - 2)),
+         InvalidDesign),
+        (lambda sd: replace(sd, field_meta=FieldMeta.of(field_new(sd.q + 2))), InvalidDesign),
+        (lambda sd: replace(sd, l=sd.l + 1), InvalidDesign),
+        (lambda sd: replace(sd, nodes=sd.nodes[:-1]), InvalidDesign),
+        (lambda sd: replace(sd, nodes=sd.nodes[:-1], v=sd.v - 1), InvalidDesign),
+        (lambda sd: replace(sd, u=sd.u + 1), InvalidDesign),
     ],
     ids=["swapped-row", "primitive", "field", "l", "truncated", "truncated-header", "u"],
 )
-def test_expand_rejects_non_prefix(edit):
+def test_expand_rejects_non_prefix(edit, error):
     for q, n in ((2, 1), (3, 2)):
-        with pytest.raises(NotCanonical):
-            expand(edit(to_storage_design(build_scaled_cage(q, n))))
+        with pytest.raises(error):
+            expand(edit(build_scaled_cage(q, n)))
 
 
 def test_over_cap_expand_builds_nothing(monkeypatch):
-    big = to_storage_design(build_scaled_cage(2, 8))
-    small = to_storage_design(build_scaled_cage(2, 2))
+    big = build_scaled_cage(2, 8)
+    small = build_scaled_cage(2, 2)
+    swapped = replace(big, nodes=_swap_first_rows(big.nodes))
 
     def boom(q):
         raise AssertionError(f"GF({q}) built for a refused expand")
 
+    frcage.cage._field.cache_clear()
     monkeypatch.setattr(frcage.cage, "field_new", boom)
-    monkeypatch.setattr(frcage.design, "field_new", boom)
     with pytest.raises(ResourceLimit):
         expand(big)
     # a table that is both non-canonical and over the cap is refused on the cap
     with pytest.raises(ResourceLimit):
-        expand(replace(big, nodes=_swap_first_rows(big.nodes)))
+        expand(swapped)
     with pytest.raises(ResourceLimit):
         expand(small, max_edges=400)  # (2, 3) needs 465 edges
 
 
 def test_expand_rejects_foreign_provenance():
-    sd = to_storage_design(build_scaled_cage(2, 1))
+    sd = build_scaled_cage(2, 1)
     foreign = StorageDesign(
-        q=sd.q, n=sd.n, k=sd.k, l=sd.l,
-        num_nodes=sd.num_nodes, num_chunks=sd.num_chunks,
+        q=sd.q, n=sd.n, k=sd.k, l=sd.l, v=sd.v, u=sd.u,
         nodes=sd.nodes, field_meta=sd.field_meta,
         construction="hand-built",
     )
@@ -178,9 +200,9 @@ def test_expand_rejects_foreign_provenance():
 
 
 def test_partial_fill_rejects_foreign_provenance():
-    # (q, n) of a hand-built table are not checked on load, so fill
+    # (q, n) of a hand-built table are not checked, so fill
     # must not compute its window from them
-    sd = to_storage_design(build_scaled_cage(2, 1))
+    sd = build_scaled_cage(2, 1)
     for foreign in (
         replace(sd, construction="hand-built"),
         replace(sd, construction="hand-built", q=3, n=10**7),
@@ -191,17 +213,17 @@ def test_partial_fill_rejects_foreign_provenance():
 
 
 def test_expand_rejects_partial():
-    sd = to_storage_design(build_scaled_cage(2, 2))
+    sd = build_scaled_cage(2, 2)
     with pytest.raises(NotCanonical):
         expand(partial_fill(sd, 20))
 
 
 def test_expansion_chain_q2():
     sizes = {1: (7, 7), 2: (15, 35), 3: (31, 155)}
-    sd = to_storage_design(build_scaled_cage(2, 1))
+    sd = build_scaled_cage(2, 1)
     for n in (2, 3):
         sd = expand(sd)
-        assert (sd.num_nodes, sd.num_chunks) == sizes[n]
+        assert (sd.v, sd.u) == sizes[n]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +231,7 @@ def test_expansion_chain_q2():
 # ---------------------------------------------------------------------------
 
 def test_partial_fill_blanks_high_ids():
-    full = to_storage_design(build_scaled_cage(2, 2))
+    full = build_scaled_cage(2, 2)
     part = partial_fill(full, 30)
     present = {c for row in part.nodes for c in row if c is not None}
     assert present == set(range(30))
@@ -228,7 +250,7 @@ def test_partial_fill_blanks_high_ids():
 
 
 def test_partial_fill_monotone():
-    full = to_storage_design(build_scaled_cage(2, 2))
+    full = build_scaled_cage(2, 2)
     a, b = partial_fill(full, 10), partial_fill(full, 20)
     for ra, rb in zip(a.nodes, b.nodes):
         for ca, cb in zip(ra, rb):
@@ -237,7 +259,7 @@ def test_partial_fill_monotone():
 
 
 def test_partial_fill_boundaries():
-    full = to_storage_design(build_scaled_cage(2, 2))
+    full = build_scaled_cage(2, 2)
     assert partial_fill(full, 35) == full
     with pytest.raises(OutOfRange):
         partial_fill(full, 7)
@@ -246,7 +268,7 @@ def test_partial_fill_boundaries():
 
 
 def test_partial_fill_steiner_on_present_chunks():
-    full = to_storage_design(build_scaled_cage(2, 2))
+    full = build_scaled_cage(2, 2)
     for u_tilde in (8, 12, 21, 34):
         part = partial_fill(full, u_tilde)
         present_blocks = [
@@ -261,7 +283,7 @@ def test_partial_fill_steiner_on_present_chunks():
 # ---------------------------------------------------------------------------
 
 def test_repair_plan_golden_example():
-    sd = to_storage_design(build_scaled_cage(2, 1))
+    sd = build_scaled_cage(2, 1)
     plan = repair_plan(sd, 0)
     assert plan.assignments == ((0, 1), (1, 3), (2, 5))
 
@@ -279,8 +301,8 @@ def test_repair_plan_s239():
 
 def test_repair_plan_all_nodes_distinct_helpers():
     for q, n in [(2, 2), (3, 1), (3, 2)]:
-        sd = to_storage_design(build_scaled_cage(q, n))
-        for g in range(sd.num_nodes):
+        sd = build_scaled_cage(q, n)
+        for g in range(sd.v):
             plan = repair_plan(sd, g)
             hs = [h for _, h in plan.assignments]
             assert len(hs) == sd.l
@@ -289,7 +311,7 @@ def test_repair_plan_all_nodes_distinct_helpers():
 
 
 def test_repair_plan_round_robin():
-    sd = to_storage_design(build_scaled_cage(2, 2))
+    sd = build_scaled_cage(2, 2)
     plan = repair_plan(sd, 0)
     hs = [h for _, h in plan.assignments]
     assert len(set(hs)) == len(hs)
@@ -299,20 +321,20 @@ def test_repair_plan_round_robin():
     assert repair_plan(sd, 0) == plan  # deterministic
     # the helper is the failed node's successor on the chunk's holder ring
     for part in (sd, partial_fill(sd, 20)):
-        holders = helpers.holders_from_rows(part.nodes, part.num_chunks)
-        for g in range(part.num_nodes):
+        holders = helpers.holders_from_rows(part.nodes, part.u)
+        for g in range(part.v):
             for c, h in repair_plan(part, g).assignments:
                 assert h == helpers.ring_successor(holders[c], g)
 
 
 @pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 2), (8, 1)])
 def test_round_robin_spreads_repair_load(q, n):
-    sd = to_storage_design(build_scaled_cage(q, n))
+    sd = build_scaled_cage(q, n)
     # over all single-node failures every node serves exactly l requests
     loads = helpers.helper_loads(sd)
     assert max(loads) == min(loads) == sd.l
     u_prev = chunks_per_iteration(q, n - 1)
-    for u_tilde in (u_prev + 1, (u_prev + sd.num_chunks) // 2):
+    for u_tilde in (u_prev + 1, (u_prev + sd.u) // 2):
         part = partial_fill(sd, u_tilde)
         loads = helpers.helper_loads(part)
         assert max(loads) <= sd.l
@@ -320,14 +342,14 @@ def test_round_robin_spreads_repair_load(q, n):
 
 
 def test_repair_plan_on_partial_design():
-    part = partial_fill(to_storage_design(build_scaled_cage(2, 2)), 10)
+    part = partial_fill(build_scaled_cage(2, 2), 10)
     plan = repair_plan(part, 1)
     lost = [c for c in part.nodes[1] if c is not None]
     assert [c for c, _ in plan.assignments] == lost
 
 
 def test_repair_plan_errors():
-    sd = to_storage_design(build_scaled_cage(2, 1))
+    sd = build_scaled_cage(2, 1)
     with pytest.raises(NodeOutOfRange):
         repair_plan(sd, 7)
     with pytest.raises(NodeOutOfRange):
@@ -349,21 +371,21 @@ def test_repair_plan_errors():
 
 def test_json_roundtrip():
     for q, n in [(2, 1), (2, 2), (3, 2)]:
-        sd = to_storage_design(build_scaled_cage(q, n))
+        sd = build_scaled_cage(q, n)
         text = to_json(sd)
         assert from_json(text) == sd
         assert to_json(from_json(text)) == text
 
 
 def test_json_roundtrip_partial():
-    part = partial_fill(to_storage_design(build_scaled_cage(2, 2)), 12)
+    part = partial_fill(build_scaled_cage(2, 2), 12)
     text = to_json(part)
     assert "null" in text
     assert from_json(text) == part
 
 
 def test_json_header_fields():
-    sd = to_storage_design(build_scaled_cage(2, 2))
+    sd = build_scaled_cage(2, 2)
     payload = json.loads(to_json(sd))
     h = payload["header"]
     assert h["q"] == 2 and h["n"] == 2 and h["k"] == 3 and h["l"] == 7
@@ -387,7 +409,7 @@ CONSTRUCT_SHA256 = {
 
 @pytest.mark.parametrize("q, n", sorted(CONSTRUCT_SHA256))
 def test_construct_json_is_pinned(q, n):
-    text = to_json(to_storage_design(build_scaled_cage(q, n)))
+    text = to_json(build_scaled_cage(q, n))
     assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_SHA256[(q, n)]
 
 
@@ -416,7 +438,7 @@ def test_from_json_rejects_garbage():
          "q-float", "u-float", "p-float", "modulus-str"],
 )
 def test_from_json_rejects_non_integers(edit):
-    payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 1))))
+    payload = json.loads(to_json(build_scaled_cage(2, 1)))
     edit(payload)
     with pytest.raises(InvalidDesign):
         from_json(json.dumps(payload))
@@ -428,7 +450,7 @@ def test_from_json_rejects_non_integers(edit):
      ([0, 2, 1], "node 0 does not list its chunk ids in ascending order")],
 )
 def test_from_json_rejects_bad_slots(row, error):
-    payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 1))))
+    payload = json.loads(to_json(build_scaled_cage(2, 1)))
     payload["nodes"][0] = row
     with pytest.raises(InvalidDesign, match=error):
         from_json(json.dumps(payload))
@@ -452,7 +474,7 @@ def test_from_json_rejects_bad_slots(row, error):
     ],
 )
 def test_from_json_checks_header_against_q_and_n(key, value, error):
-    payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 2))))
+    payload = json.loads(to_json(build_scaled_cage(2, 2)))
     header = payload["header"]
     (header if key in header else header["field"])[key] = value
     with pytest.raises(InvalidDesign, match=error):
@@ -461,7 +483,7 @@ def test_from_json_checks_header_against_q_and_n(key, value, error):
 
 def test_from_json_header_q_must_be_a_prime_power():
     # q = 6, n = 1 asks for k = l = 7 over 43 nodes and 43 chunks
-    payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 1))))
+    payload = json.loads(to_json(build_scaled_cage(2, 1)))
     payload["header"].update(q=6, k=7, l=7, num_nodes=43, num_chunks=43)
     payload["nodes"] = [list(range(7))] * 43
     with pytest.raises(InvalidDesign, match="not a prime power"):
@@ -472,24 +494,30 @@ def test_hand_built_header_is_not_checked():
     # 12 nodes of 3 slots match no (q, n); only the canonical header is checked
     sd = helpers.storage_from_rows(GOLDEN_S239, num_chunks=9, k=4)
     assert from_json(to_json(sd)) == sd
+    payload = json.loads(to_json(sd))
+    payload["header"]["construction"] = frcage.cage.CONSTRUCTION
     with pytest.raises(InvalidDesign, match="gives"):
-        from_json(to_json(replace(sd, construction=frcage.design.CONSTRUCTION)))
+        from_json(json.dumps(payload))
 
 
 @pytest.mark.parametrize("num_chunks", [-1, 22, 10**9])
 def test_hand_built_num_chunks_is_bounded_by_the_slots(num_chunks):
     # 7 nodes of 3 slots hold at most 21 chunks
-    sd = replace(to_storage_design(build_scaled_cage(2, 1)), construction="hand-built")
-    assert from_json(to_json(replace(sd, num_chunks=21))).num_chunks == 21
+    sd = replace(build_scaled_cage(2, 1), construction="hand-built")
+    assert from_json(to_json(replace(sd, u=21))).u == 21
+    payload = json.loads(to_json(sd))
+    payload["header"]["num_chunks"] = num_chunks
     t0 = time.perf_counter()
     with pytest.raises(InvalidDesign, match="num_chunks"):
-        from_json(to_json(replace(sd, num_chunks=num_chunks)))
+        from_json(json.dumps(payload))
+    with pytest.raises(InvalidDesign, match="num_chunks"):
+        replace(sd, u=num_chunks)
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_from_json_rejects_bad_replication():
 
-    sd = to_storage_design(build_scaled_cage(2, 1))
+    sd = build_scaled_cage(2, 1)
     payload = json.loads(to_json(sd))
     payload["nodes"][0][0] = 3  # chunk 3 gains a 4th replica, chunk 0 loses one
     with pytest.raises(InvalidDesign):
@@ -497,12 +525,12 @@ def test_from_json_rejects_bad_replication():
 
 
 def test_csv_layout():
-    sd = to_storage_design(build_scaled_cage(2, 1))
+    sd = build_scaled_cage(2, 1)
     lines = to_csv(sd).splitlines()
     assert lines[0] == "0,0,1,2"
     assert lines[1] == "1,0,3,6"
     assert len(lines) == 7
-    part = partial_fill(to_storage_design(build_scaled_cage(2, 2)), 8)
+    part = partial_fill(build_scaled_cage(2, 2), 8)
     assert ",," in to_csv(part)  # blanked slots stay visible
 
 

@@ -12,9 +12,7 @@ import random
 
 import pytest
 
-from frcage import (
-    build_scaled_cage, chunks_per_iteration, partial_fill, to_json, to_storage_design,
-)
+from frcage import build_scaled_cage, chunks_per_iteration, partial_fill, to_json
 from frcage.cli import main
 from frcage.errors import FrcageError
 import helpers
@@ -156,8 +154,8 @@ def _run(capsys, *argv):
 @pytest.mark.parametrize("q, n", DESIGNS)
 def test_mutants_fail_named_and_never_pass_falsely(q, n, tmp_path, capsys):
     rng = random.Random(7000 + 10 * q + n)
-    full = to_storage_design(build_scaled_cage(q, n))
-    u_tilde = rng.randrange(chunks_per_iteration(q, n - 1) + 1, full.num_chunks)
+    full = build_scaled_cage(q, n)
+    u_tilde = rng.randrange(chunks_per_iteration(q, n - 1) + 1, full.u)
     bases = [json.loads(to_json(sd)) for sd in (full, partial_fill(full, u_tilde))]
     path, out_path = tmp_path / "m.json", tmp_path / "out.json"
     verdicts, failures = set(), 0
@@ -187,7 +185,7 @@ def test_mutants_fail_named_and_never_pass_falsely(q, n, tmp_path, capsys):
 
 
 def test_sound_oracle_reads_the_rows():
-    payload = json.loads(to_json(to_storage_design(build_scaled_cage(2, 2))))
+    payload = json.loads(to_json(build_scaled_cage(2, 2)))
     header = json.loads(json.dumps(payload["header"]))
     assert _sound(payload, header) == (True, True)
     payload["header"]["q"] = 3
@@ -201,7 +199,7 @@ def test_sound_oracle_reads_the_rows():
     rows[3][0], rows[3][6] = rows[3][6], rows[3][0]
     assert _sound(payload, header) == (True, False)
     rows[3].sort()
-    partial = json.loads(to_json(partial_fill(to_storage_design(build_scaled_cage(2, 2)), 34)))
+    partial = json.loads(to_json(partial_fill(build_scaled_cage(2, 2), 34)))
     assert _sound(partial, header) == (False, True)
     for row in partial["nodes"]:
         row[:] = [None if c == 30 else c for c in row]

@@ -10,8 +10,8 @@ import pytest
 
 from frcage import (
     BlockCollection,
-    BipartiteDesign,
     InvalidDegrees,
+    InvalidDesign,
     build_scaled_cage,
     check_partial_invariants,
     check_steiner_exact,
@@ -20,7 +20,7 @@ from frcage import (
     girth_at_least_six,
     moore_bounds,
     partial_fill,
-    to_storage_design,
+    repair_plan,
     verify_design,
 )
 from frcage.verify import _cover_walk, _pair_scan
@@ -139,19 +139,25 @@ def test_verify_design_missing_edge():
     d = build_scaled_cage(2, 1)
     mutated = list(d.x_neighbors)
     mutated[0] = mutated[0][:-1]  # drop one edge
-    broken = BipartiteDesign(
-        q=2, n=1, k=3, l=3, u=7, v=7,
-        x_neighbors=tuple(mutated),
-    )
+    broken = replace(d, nodes=helpers.incidence_from_blocks(mutated, 7).nodes)
     rep = verify_design(broken)
     assert not rep.degrees_ok
     assert not rep.all_ok
-    assert "degree" in rep.witnesses
+    assert rep.witnesses["degree"] == ("x", 0, 2)
+    # every chunk has 3 holders, but node 1 holds one chunk where l = 2
+    rep = verify_design(helpers.incidence_from_blocks([[0, 1, 2], [0, 3, 4]], 5))
+    assert rep.witnesses["degree"] == ("y", 1, 1)
+
+
+def test_verify_design_refuses_a_partial_table():
+    part = partial_fill(build_scaled_cage(2, 2), 30)
+    with pytest.raises(InvalidDesign, match="partially filled"):
+        verify_design(part)
 
 
 def test_verify_design_s239_is_tight():
     # S(2,3,9) meets the (k=3, l=4) bounds with equality
-    d = helpers.incidence_from_blocks(GOLDEN_S239, 9, q=None, n=None)
+    d = helpers.incidence_from_blocks(GOLDEN_S239, 9)
     assert verify_design(d).all_ok
 
 
@@ -294,7 +300,7 @@ def test_girth_and_steiner_witness_parity(q, n):
     failures = 0
     for _ in range(300):
         blocks = tuple(tuple(b) for b in mutate(rng, d.x_neighbors, drop=True))
-        m = BipartiteDesign(q=q, n=n, k=d.k, l=d.l, u=d.u, v=d.v, x_neighbors=blocks)
+        m = replace(d, nodes=helpers.incidence_from_blocks(blocks, d.v).nodes)
         want = ref_girth(m)
         assert girth_at_least_six(m) == want, blocks
         failures += not want[0]
@@ -314,21 +320,20 @@ def test_girth_witness_parity_on_repeated_elements():
         ([[0, 1], [0, 0], [0, 0]], 2),
     ]
     for blocks, v in cases:
-        d = BipartiteDesign(q=None, n=None, k=2, l=2, u=len(blocks), v=v,
-                            x_neighbors=tuple(map(tuple, blocks)))
+        d = helpers.incidence_from_blocks(blocks, v)
         assert girth_at_least_six(d) == ref_girth(d), blocks
 
 
 @pytest.mark.parametrize("q,n", PARITY_DESIGNS)
 def test_partial_invariants_witness_parity(q, n):
-    full = to_storage_design(build_scaled_cage(q, n))
+    full = build_scaled_cage(q, n)
     u_prev = chunks_per_iteration(q, n - 1)
     rng = random.Random(2000 * q + n)
     kinds = set()
     for _ in range(300):
         sd = full
         if rng.random() < 0.5:
-            sd = partial_fill(full, rng.randint(u_prev + 1, full.num_chunks))
+            sd = partial_fill(full, rng.randint(u_prev + 1, full.u))
         if rng.random() < 0.8:
             sd = replace(sd, nodes=tuple(map(tuple, mutate(rng, sd.nodes, drop=False))))
         want = ref_partial(sd)
@@ -342,7 +347,7 @@ def test_partial_invariants_witness_parity(q, n):
 # ---------------------------------------------------------------------------
 
 def test_partial_invariants_blank_gap():
-    full = to_storage_design(build_scaled_cage(2, 2))
+    full = build_scaled_cage(2, 2)
     assert check_partial_invariants(partial_fill(full, 30)) == (True, {})
     gap = replace(full, nodes=tuple(
         tuple(None if c == 30 else c for c in row) for row in full.nodes
@@ -354,16 +359,20 @@ def test_partial_invariants_blank_gap():
 def test_out_of_range_ids_raise():
     for bad, error in ((-1, ValueError), (3, IndexError)):
         blocks = ((0, bad), (1, 2))
-        d = BipartiteDesign(q=None, n=None, k=2, l=2, u=2, v=3, x_neighbors=blocks)
-        with pytest.raises(error):
-            girth_at_least_six(d)
         with pytest.raises(error):
             check_steiner_exact(BlockCollection(3, 2, blocks))
-    sd = to_storage_design(build_scaled_cage(2, 1))
-    for bad in (-1, sd.num_chunks):
-        nodes = ((bad,) + sd.nodes[0][1:],) + sd.nodes[1:]
-        with pytest.raises(ValueError, match="node 0"):
-            check_partial_invariants(replace(sd, nodes=nodes))
+    # every one-slot edit to chunk id -1 or u; -1 used to wrap to chunk u-1
+    sd = build_scaled_cage(2, 2)
+    for g, row in enumerate(sd.nodes):
+        for s in range(sd.l):
+            for bad in (-1, sd.u):
+                nodes = list(sd.nodes)
+                nodes[g] = row[:s] + (bad,) + row[s + 1:]
+                edited = replace(sd, nodes=tuple(nodes))
+                for check in (lambda: repair_plan(edited, g), lambda: verify_design(edited),
+                              lambda: check_partial_invariants(edited)):
+                    with pytest.raises(InvalidDesign, match=f"row {g} holds"):
+                        check()
 
 
 def assert_cover_walk_decides(blocks, v):
@@ -410,5 +419,5 @@ def test_cover_walk_verdict_on_repeated_elements():
     # not a defect
     assert assert_cover_walk_decides(((0, 1),), 3) == (True, 1)
     # two copies alone repeat nothing: the witness walk clears them
-    d = BipartiteDesign(q=None, n=None, k=2, l=2, u=2, v=3, x_neighbors=((0, 1), (2, 2)))
+    d = helpers.incidence_from_blocks([[0, 1], [2, 2]], 3)
     assert girth_at_least_six(d) == ref_girth(d) == (True, None)
