@@ -38,19 +38,11 @@ from .errors import (
     NodeOutOfRange,
     NotCanonical,
     NotPrimePower,
-    OrderMismatch,
     OutOfRange,
     ResourceLimit,
 )
 from .gf import Field, field_new, find_primitive_element
-from .mols import (
-    MolsSet,
-    Square,
-    check_latin,
-    check_orthogonal,
-    check_zeroth_column_only_overlap,
-    generate_mols,
-)
+from .mols import MolsSet, Square, generate_mols
 from .verify import (
     BoundPair,
     VerificationReport,

@@ -174,7 +174,6 @@ def _check_header(sd: StorageDesign) -> None:
 @dataclass(frozen=True)
 class BlockCollection:
     num_elements: int
-    block_size: int
     blocks: tuple[tuple[int, ...], ...]
 
 
@@ -193,7 +192,7 @@ def _resolve_max_edges(max_edges: int | None) -> int:
 def _square_order(mols: MolsSet) -> list[tuple[int, int]]:
     """Fixed enumeration of the q**2 (m, i) pairs of one layer-3 group,
     keyed by (column-1 symbol, column-0 symbol) of square m's row i."""
-    q = mols.q
+    q = len(mols.squares)
     keyed = sorted(
         ((mols.squares[m].cells[i][1], mols.squares[m].cells[i][0]), m, i)
         for m in range(q)
@@ -262,22 +261,27 @@ def b_h_subgraph(d: StorageDesign, h: int) -> StorageDesign:
     group is the chunks whose layer-2 parents {(y-1) // q} are exactly
     the block.  The root maps to -1, so no layer-1 row qualifies, and
     blocks are distinct, so no other group's chunk does.  Raises
-    ValueError when the group does not have q**2 members, as in a
-    tampered design, and when the design is too short for its (q, n).
+    InvalidParameter for n < 2, and InvalidDesign when the group does
+    not have q**2 members, as in a tampered design, or when the design
+    is too short for its (q, n).
     """
     if d.n < 2:
-        raise ValueError("b_h_subgraph requires a design built with n >= 2")
+        raise InvalidParameter("b_h_subgraph requires a design built with n >= 2")
     q = d.q
+    # u_{n-1} > q and u_{n-1} >= 2**(n-1), so a header failing this bound
+    # is too short for its table, and p_n need not be computed for it.
+    if not (q < d.u and d.n <= d.u.bit_length()):
+        raise InvalidDesign(f"(q={q}, n={d.n}) needs more than {d.u} chunks")
     u_prev = chunks_per_iteration(q, d.n - 1)
     if not 0 <= h < u_prev:
         raise IndexOutOfRange(f"h must be in [0, {u_prev}), got {h}")
     if d.u < u_prev:
-        raise ValueError(f"(q={q}, n={d.n}) needs over {u_prev} chunks, got {d.u}")
+        raise InvalidDesign(f"(q={q}, n={d.n}) needs over {u_prev} chunks, got {d.u}")
     block = d.x_neighbors[h]
     members = set(block)
     group = [ys for ys in d.x_neighbors if {(y - 1) // q for y in ys} == members]
     if len(group) != q * q:
-        raise ValueError(f"block {h} has {len(group)} layer-3 chunks, expected {q * q}")
+        raise InvalidDesign(f"block {h} has {len(group)} layer-3 chunks, expected {q * q}")
 
     y_map = {0: 0}
     for pos, j in enumerate(block):

@@ -131,8 +131,8 @@ def _cmd_mols(args) -> int:
         sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
         return 0
     out = []
-    for sq in mset.squares:
-        out.append(f"L({sq.index}):")
+    for m, sq in enumerate(mset.squares):
+        out.append(f"L({m}):")
         out.extend(" ".join(str(s) for s in row) for row in sq.cells)
         out.append("")
     sys.stdout.write("\n".join(out))

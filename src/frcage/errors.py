@@ -12,10 +12,6 @@ class NotPrimePower(FrcageError, ValueError):
     """q has two distinct prime factors, or q < 2."""
 
 
-class OrderMismatch(FrcageError, ValueError):
-    """Two squares of different orders were compared."""
-
-
 class InvalidParameter(FrcageError, ValueError):
     """An iteration count or setting outside its valid range."""
 

@@ -126,12 +126,6 @@ class Field:
         """Polynomial coordinates of an element, low degree first."""
         return tuple((a // self.p**i) % self.p for i in range(self.m))
 
-    def from_coeffs(self, cs) -> int:
-        cs = list(cs)
-        if len(cs) != self.m or any(not 0 <= c < self.p for c in cs):
-            raise ValueError(f"need {self.m} coefficients in [0, {self.p})")
-        return sum(c * self.p**i for i, c in enumerate(cs))
-
     def sequence_index(self, a: int) -> int:
         """Position of an element in the e_0..e_{q-1} sequence."""
         return self._index[a]

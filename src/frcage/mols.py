@@ -11,31 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OrderMismatch
 from .gf import Field
 
-__all__ = [
-    "Square",
-    "MolsSet",
-    "generate_mols",
-    "check_latin",
-    "check_orthogonal",
-    "check_zeroth_column_only_overlap",
-]
+__all__ = ["Square", "MolsSet", "generate_mols"]
 
 
 @dataclass(frozen=True)
 class Square:
-    """One q x q square; `index` records which member of the family it is."""
+    """One q x q square; cells[i][j] is the symbol in row i, column j."""
 
-    order: int
-    index: int
     cells: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class MolsSet:
-    q: int
+    """The family; squares[m] is L(m)."""
+
     squares: tuple[Square, ...]
 
 
@@ -52,40 +43,5 @@ def generate_mols(f: Field) -> MolsSet:
             tuple(f.sequence_index(f.add(e[i], f.mul(e[m], e[j]))) for j in range(q))
             for i in range(q)
         ]
-        squares.append(Square(order=q, index=m, cells=tuple(rows)))
-    return MolsSet(q=q, squares=tuple(squares))
-
-
-def check_latin(s: Square) -> bool:
-    """True when every row and every column is a permutation of 0..q-1."""
-    q = s.order
-    full = set(range(q))
-    for row in s.cells:
-        if set(row) != full:
-            return False
-    for j in range(q):
-        if {s.cells[i][j] for i in range(q)} != full:
-            return False
-    return True
-
-
-def check_orthogonal(a: Square, b: Square) -> bool:
-    """True when cellwise catenation of a and b yields all q**2 symbol pairs."""
-    if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {a.order} vs {b.order}")
-    q = a.order
-    pairs = {(a.cells[i][j], b.cells[i][j]) for i in range(q) for j in range(q)}
-    return len(pairs) == q * q
-
-
-def check_zeroth_column_only_overlap(mset: MolsSet) -> bool:
-    """True when any two distinct squares agree exactly on column 0."""
-    q = mset.q
-    for m in range(q):
-        for mp in range(m + 1, q):
-            a, b = mset.squares[m].cells, mset.squares[mp].cells
-            for i in range(q):
-                for j in range(q):
-                    if (a[i][j] == b[i][j]) != (j == 0):
-                        return False
-    return True
+        squares.append(Square(cells=tuple(rows)))
+    return MolsSet(squares=tuple(squares))

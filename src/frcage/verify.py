@@ -144,10 +144,15 @@ def girth_at_least_six(d: StorageDesign):
 def check_steiner_exact(bc: BlockCollection):
     """(True, None) when every unordered element pair lies in exactly
     one block; otherwise (False, (a, b, count)) for the first bad pair
-    in sorted order."""
+    in sorted order.  An element that is not an id in [0, num_elements)
+    raises InvalidDesign."""
     v = bc.num_elements
-    if _cover_walk(bc.blocks, v) == (True, v * (v - 1) // 2):
-        return True, None
+    try:
+        if _cover_walk(bc.blocks, v) == (True, v * (v - 1) // 2):
+            return True, None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise InvalidDesign(f"a block holds an element that is not an id in [0, {v})") from exc
+    # the cover walk went through every element, so none can raise here
     masks, dup, _ = _pair_scan(bc.blocks, v)
     full = (1 << v) - 1
     for a in range(v):
@@ -211,7 +216,7 @@ def verify_design(d: StorageDesign) -> VerificationReport:
     if w is not None:
         witnesses["four_cycle"] = w
 
-    steiner_ok, w = check_steiner_exact(BlockCollection(d.v, d.k, d.x_neighbors))
+    steiner_ok, w = check_steiner_exact(BlockCollection(d.v, d.x_neighbors))
     if w is not None:
         witnesses["pair"] = w
 

@@ -124,6 +124,40 @@ def bose_sts15():
     return [tuple(sorted(t)) for t in triples]
 
 
+def check_latin(cells) -> bool:
+    """True when every row and every column of a q x q grid is a
+    permutation of 0..q-1."""
+    full = set(range(len(cells)))
+    return all(set(row) == full for row in cells) and all(
+        set(col) == full for col in zip(*cells)
+    )
+
+
+def check_orthogonal(a, b) -> bool:
+    """True when the cellwise pairs of two q x q grids are all q**2
+    symbol pairs.  Grids of different orders raise ValueError."""
+    if len(a) != len(b):
+        raise ValueError(f"orders differ: {len(a)} vs {len(b)}")
+    q = len(a)
+    pairs = {(a[i][j], b[i][j]) for i in range(q) for j in range(q)}
+    return len(pairs) == q * q
+
+
+def check_zeroth_column_only_overlap(grids) -> bool:
+    """True when any two distinct q x q grids agree exactly on column 0."""
+    for a, b in combinations(grids, 2):
+        for ra, rb in zip(a, b):
+            if [x == y for x, y in zip(ra, rb)] != [True] + [False] * (len(ra) - 1):
+                return False
+    return True
+
+
+def from_coeffs(cs, p: int) -> int:
+    """The field element with polynomial coordinates cs over GF(p),
+    low degree first: sum(c_i * p**i)."""
+    return sum(c * p**i for i, c in enumerate(cs))
+
+
 def storage_from_rows(rows, num_chunks, k, q=3, n=1) -> StorageDesign:
     """Hand-built storage table; l is the longest row."""
     return StorageDesign(
@@ -179,12 +213,9 @@ class FieldOracle:
             out.append(c)
         return out
 
-    def _number(self, cs) -> int:
-        return sum(c * self.p**i for i, c in enumerate(cs))
-
     def add(self, a: int, b: int) -> int:
-        return self._number(
-            (x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))
+        return from_coeffs(
+            ((x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))), self.p
         )
 
     def mul(self, a: int, b: int) -> int:
@@ -192,7 +223,7 @@ class FieldOracle:
         for i, x in enumerate(self._digits(a)):
             for j, y in enumerate(self._digits(b)):
                 prod[i + j] += x * y
-        return self._number(poly_mod(prod, self.modulus, self.p))
+        return from_coeffs(poly_mod(prod, self.modulus, self.p), self.p)
 
 
 def bipartite_isomorphic(d1: StorageDesign, d2: StorageDesign) -> bool:

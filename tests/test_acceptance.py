@@ -11,11 +11,8 @@ from frcage import (
     BlockCollection,
     b_h_subgraph,
     build_scaled_cage,
-    check_latin,
-    check_orthogonal,
     check_partial_invariants,
     check_steiner_exact,
-    check_zeroth_column_only_overlap,
     chunk_locations,
     expand,
     field_new,
@@ -118,7 +115,7 @@ def test_criterion_05_girth_and_steiner_oracles():
             d = build_scaled_cage(q, n)
             ok, witness = girth_at_least_six(d)
             assert ok, (q, n, witness)
-            ok, witness = check_steiner_exact(BlockCollection(d.v, d.k, d.x_neighbors))
+            ok, witness = check_steiner_exact(BlockCollection(d.v, d.x_neighbors))
             assert ok, (q, n, witness)
 
     run_criterion(5, f"no 4-cycles, exact pair cover on {len(params)} designs", 300.0, body)
@@ -129,13 +126,13 @@ def test_criterion_06_mols_properties():
 
     def body():
         for q in qs:
-            mset = generate_mols(field_new(q))
-            for sq in mset.squares[1:]:
-                assert check_latin(sq), q
+            grids = [sq.cells for sq in generate_mols(field_new(q)).squares]
+            for cells in grids[1:]:
+                assert helpers.check_latin(cells), q
             for a in range(q):
                 for b in range(a + 1, q):
-                    assert check_orthogonal(mset.squares[a], mset.squares[b]), (q, a, b)
-            assert check_zeroth_column_only_overlap(mset), q
+                    assert helpers.check_orthogonal(grids[a], grids[b]), (q, a, b)
+            assert helpers.check_zeroth_column_only_overlap(grids), q
 
     run_criterion(6, f"square families valid for q in {qs}", 10.0, body)
 

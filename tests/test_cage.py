@@ -1,5 +1,6 @@
 """Cage construction: sizes, golden tables, subgraphs, determinism."""
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from frcage import (
     BlockCollection,
     IndexOutOfRange,
     InvalidDesign,
+    InvalidParameter,
     NotPrimePower,
     ResourceLimit,
     b_h_subgraph,
@@ -180,12 +182,23 @@ def test_b_h_subgraph_errors():
         b_h_subgraph(d, 7)
     with pytest.raises(IndexOutOfRange):
         b_h_subgraph(d, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         b_h_subgraph(build_scaled_cage(2, 1), 0)
     # a (2, 2) table whose header claims n = 4 has no chunk 40
     short = replace(d, n=4, construction="hand-built")
-    with pytest.raises(ValueError, match="needs over 155 chunks"):
+    with pytest.raises(InvalidDesign, match="needs over 155 chunks"):
         b_h_subgraph(short, 40)
+    # a header too large for its chunk count is refused before p_n(q, n) is computed
+    t0 = time.perf_counter()
+    for huge in (replace(short, n=10**7), replace(short, q=10**9)):
+        with pytest.raises(InvalidDesign, match="needs more than 35 chunks"):
+            b_h_subgraph(huge, 0)
+    assert time.perf_counter() - t0 < 1.0
+    # chunk 3 of block 0's layer-3 group loses its holder node 1
+    nodes = [list(row) for row in d.nodes]
+    nodes[1][nodes[1].index(3)] = 7
+    with pytest.raises(InvalidDesign, match="layer-3 chunks"):
+        b_h_subgraph(replace(d, nodes=tuple(map(tuple, nodes))), 0)
 
 
 def test_b_h_subgraph_q3():
@@ -250,10 +263,10 @@ def test_veblen_young_tells_pg32_from_bose_sts15():
     # both are S(2, 3, 15); only PG(3, 2) is a projective space
     bose = helpers.bose_sts15()
     assert helpers.is_steiner_exact(bose, 15)
-    assert check_steiner_exact(BlockCollection(15, 3, tuple(bose))) == (True, None)
+    assert check_steiner_exact(BlockCollection(15, tuple(bose))) == (True, None)
     assert helpers.veblen_young_violation(bose, 15) is not None
     pg32 = build_scaled_cage(2, 2)
-    assert check_steiner_exact(BlockCollection(15, 3, pg32.x_neighbors)) == (True, None)
+    assert check_steiner_exact(BlockCollection(15, pg32.x_neighbors)) == (True, None)
     assert helpers.veblen_young_violation(pg32.x_neighbors, 15) is None
 
 

@@ -196,8 +196,10 @@ def test_bounds_cli(capsys):
 def test_mols_cli(capsys):
     code, out, _ = run(capsys, "mols", "--q", "3")
     assert code == 0
-    assert "L(1):" in out
-    assert "0 1 2" in out
+    assert out == "\n".join(
+        f"L({m}):\n" + "".join(" ".join(map(str, row)) + "\n" for row in cells)
+        for m, cells in enumerate(GOLDEN_MOLS_Q3)
+    )
     code, out, _ = run(capsys, "mols", "--q", "3", "--json")
     assert json.loads(out) == GOLDEN_MOLS_Q3
 

@@ -1,18 +1,42 @@
-"""Seeded mutation fuzz of design files through the CLI.
+"""Seeded mutation fuzz of design files through the CLI, and of
+in-memory tables through the library.
 
 Each mutant of a small complete or partially filled design file is run
 through `verify`, `repair`, `fill` and `expand`.  Every run must exit
 0, 1 or 2 without an exception escaping, an exit 2 must name its
 error, and `verify` may call a table sound only when the oracles in
 helpers.py, reading the raw rows, agree.
+
+Each library mutant is a table with one header field or one slot
+edited by dataclasses.replace.  Every public function that takes a
+table must return or raise a FrcageError, within a second.
 """
 
 import json
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
-from frcage import build_scaled_cage, chunks_per_iteration, partial_fill, to_json
+from frcage import (
+    FieldMeta,
+    b_h_subgraph,
+    build_scaled_cage,
+    check_partial_invariants,
+    chunks_per_iteration,
+    expand,
+    field_new,
+    from_json,
+    girth_at_least_six,
+    partial_fill,
+    repair_plan,
+    to_csv,
+    to_dot,
+    to_json,
+    verify_design,
+)
+from frcage.cage import CONSTRUCTION
 from frcage.cli import main
 from frcage.errors import FrcageError
 import helpers
@@ -204,3 +228,85 @@ def test_sound_oracle_reads_the_rows():
     for row in partial["nodes"]:
         row[:] = [None if c == 30 else c for c in row]
     assert _sound(partial, header) == (False, False)
+
+
+LIBRARY_DESIGNS = [(2, 2), (3, 1), (2, 3)]
+LIBRARY_MUTANTS = 200
+
+
+def _edit_header(rng, sd):
+    name = rng.choice(["q", "n", "k", "l", "v", "u", "field_meta", "version", "construction"])
+    if name == "field_meta":
+        value = FieldMeta.of(field_new(rng.choice([2, 3, 4])))
+    elif name == "version":
+        value = "0"
+    elif name == "construction":
+        value = CONSTRUCTION if sd.construction == "hand-built" else "hand-built"
+    else:
+        value = getattr(sd, name) + rng.choice([-1, 1, 2, 10**9])
+    return replace(sd, **{name: value})
+
+
+def _edit_slot(rng, sd):
+    """-1, an id >= u, None, a repeat of another slot, a drop, or a swap
+    with a slot of any row."""
+    rows = [list(row) for row in sd.nodes]
+    g = rng.randrange(len(rows))
+    i = rng.randrange(len(rows[g]))
+    kind = rng.choice(["low", "high", "blank", "repeat", "drop", "swap"])
+    if kind == "drop":
+        del rows[g][i]
+    elif kind == "swap":
+        h = rng.randrange(len(rows))
+        j = rng.randrange(len(rows[h]))
+        rows[g][i], rows[h][j] = rows[h][j], rows[g][i]
+    else:
+        rows[g][i] = {
+            "low": -1, "high": sd.u + rng.randrange(3), "blank": None,
+            "repeat": rows[g][rng.randrange(len(rows[g]))],
+        }[kind]
+    return replace(sd, nodes=tuple(map(tuple, rows)))
+
+
+def _entry_points(rng, sd):
+    node = rng.randrange(-1, sd.v + 1)
+    u_tilde = rng.randrange(sd.u + 2)
+    h = rng.randrange(-1, 40)
+    return [
+        ("verify_design", lambda: verify_design(sd)),
+        ("girth_at_least_six", lambda: girth_at_least_six(sd)),
+        ("check_partial_invariants", lambda: check_partial_invariants(sd)),
+        ("repair_plan", lambda: repair_plan(sd, node)),
+        ("expand", lambda: expand(sd)),
+        ("partial_fill", lambda: partial_fill(sd, u_tilde)),
+        ("json", lambda: from_json(to_json(sd))),
+        ("to_csv", lambda: to_csv(sd)),
+        ("to_dot", lambda: to_dot(sd)),
+        ("b_h_subgraph", lambda: b_h_subgraph(sd, h)),
+    ]
+
+
+def _returns_or_names_its_error(what, call):
+    t0 = time.perf_counter()
+    try:
+        call()
+    except FrcageError:
+        pass
+    except Exception as exc:
+        raise AssertionError(f"{what}: {type(exc).__name__}: {exc}") from exc
+    assert time.perf_counter() - t0 < 1.0, what
+
+
+@pytest.mark.parametrize("q, n", LIBRARY_DESIGNS)
+def test_library_mutants_return_or_raise_named_errors(q, n):
+    rng = random.Random(9000 + 10 * q + n)
+    canonical = build_scaled_cage(q, n)
+    bases = [canonical, replace(canonical, construction="hand-built")]
+    for t in range(LIBRARY_MUTANTS):
+        edit = _edit_header if rng.random() < 0.3 else _edit_slot
+        try:
+            mutant = edit(rng, bases[t % 2])
+        except FrcageError:
+            continue
+        for name, call in _entry_points(rng, mutant):
+            _returns_or_names_its_error((name, mutant), call)

@@ -4,16 +4,9 @@ import random
 
 import pytest
 
-from frcage import (
-    OrderMismatch,
-    Square,
-    check_latin,
-    check_orthogonal,
-    check_zeroth_column_only_overlap,
-    field_new,
-    generate_mols,
-)
+from frcage import field_new, generate_mols
 from conftest import GOLDEN_MOLS_Q3
+import helpers
 
 SWEEP_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
@@ -45,58 +38,53 @@ def test_generate_mols_q4_pairwise_orthogonal():
 
 def test_check_latin():
     mset = generate_mols(field_new(3))
-    assert check_latin(mset.squares[1])
-    assert not check_latin(mset.squares[0])
-    assert not check_latin(Square(order=2, index=0, cells=((0, 0), (1, 1))))
+    assert helpers.check_latin(mset.squares[1].cells)
+    assert not helpers.check_latin(mset.squares[0].cells)
+    assert not helpers.check_latin(((0, 0), (1, 1)))
 
 
 def test_check_orthogonal():
     mset = generate_mols(field_new(3))
-    l0, l1, l2 = mset.squares
-    assert check_orthogonal(l1, l2)
-    assert not check_orthogonal(l1, l1)
-    assert check_orthogonal(l0, l1)
-    with pytest.raises(OrderMismatch):
-        check_orthogonal(l1, generate_mols(field_new(2)).squares[1])
+    l0, l1, l2 = (sq.cells for sq in mset.squares)
+    assert helpers.check_orthogonal(l1, l2)
+    assert not helpers.check_orthogonal(l1, l1)
+    assert helpers.check_orthogonal(l0, l1)
+    with pytest.raises(ValueError):
+        helpers.check_orthogonal(l1, generate_mols(field_new(2)).squares[1].cells)
 
 
 def test_zeroth_column_only_overlap():
     mset3 = generate_mols(field_new(3))
-    assert check_zeroth_column_only_overlap(mset3)
+    assert helpers.check_zeroth_column_only_overlap([sq.cells for sq in mset3.squares])
     mset2 = generate_mols(field_new(2))
-    assert check_zeroth_column_only_overlap(mset2)
+    assert helpers.check_zeroth_column_only_overlap([sq.cells for sq in mset2.squares])
     # constructed violation: copy square 1's column 1 into square 2
-    from frcage import MolsSet
-
     bad_cells = tuple(
         tuple(mset3.squares[1].cells[i][j] if j == 1 else mset3.squares[2].cells[i][j]
               for j in range(3))
         for i in range(3)
     )
-    bad = MolsSet(
-        q=3,
-        squares=(mset3.squares[0], mset3.squares[1], Square(order=3, index=2, cells=bad_cells)),
-    )
-    assert not check_zeroth_column_only_overlap(bad)
+    bad = (mset3.squares[0].cells, mset3.squares[1].cells, bad_cells)
+    assert not helpers.check_zeroth_column_only_overlap(bad)
 
 
 @pytest.mark.parametrize("q", SWEEP_Q)
 def test_family_properties(q):
     mset = generate_mols(field_new(q))
     assert len(mset.squares) == q
-    for m, sq in enumerate(mset.squares):
-        assert sq.index == m
+    for sq in mset.squares:
         assert all(0 <= s < q for row in sq.cells for s in row)
         assert [row[0] for row in sq.cells] == list(range(q))
     # square 0 repeats the natural column everywhere
     for j in range(q):
         assert [mset.squares[0].cells[i][j] for i in range(q)] == list(range(q))
-    for sq in mset.squares[1:]:
-        assert check_latin(sq)
+    grids = [sq.cells for sq in mset.squares]
+    for cells in grids[1:]:
+        assert helpers.check_latin(cells)
     for a in range(q):
         for b in range(a + 1, q):
-            assert check_orthogonal(mset.squares[a], mset.squares[b])
-    assert check_zeroth_column_only_overlap(mset)
+            assert helpers.check_orthogonal(grids[a], grids[b])
+    assert helpers.check_zeroth_column_only_overlap(grids)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -104,15 +92,12 @@ def test_orthogonality_invariant_under_simultaneous_row_permutation(q):
     mset = generate_mols(field_new(q))
     perm = list(range(q))
     random.Random(q).shuffle(perm)
-    shuffled = [
-        Square(order=q, index=sq.index, cells=tuple(sq.cells[perm[i]] for i in range(q)))
-        for sq in mset.squares
-    ]
+    shuffled = [tuple(sq.cells[perm[i]] for i in range(q)) for sq in mset.squares]
     for a in range(1, q):
-        assert check_latin(shuffled[a])
+        assert helpers.check_latin(shuffled[a])
         for b in range(a + 1, q):
-            assert check_orthogonal(shuffled[a], shuffled[b])
+            assert helpers.check_orthogonal(shuffled[a], shuffled[b])
     # resorting rows by column 0 recovers the normalized family
-    for sq, orig in zip(shuffled, mset.squares):
-        rows = sorted(sq.cells, key=lambda r: r[0])
+    for cells, orig in zip(shuffled, mset.squares):
+        rows = sorted(cells, key=lambda r: r[0])
         assert tuple(rows) == orig.cells

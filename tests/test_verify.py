@@ -92,29 +92,29 @@ def test_girth_matches_naive_enumerator():
 # ---------------------------------------------------------------------------
 
 def test_steiner_exact_golden_tables():
-    ok, w = check_steiner_exact(BlockCollection(9, 3, tuple(map(tuple, GOLDEN_S239))))
+    ok, w = check_steiner_exact(BlockCollection(9, tuple(map(tuple, GOLDEN_S239))))
     assert ok and w is None
-    ok, w = check_steiner_exact(BlockCollection(7, 3, tuple(map(tuple, GOLDEN_S237))))
+    ok, w = check_steiner_exact(BlockCollection(7, tuple(map(tuple, GOLDEN_S237))))
     assert ok and w is None
 
 
 def test_steiner_exact_missing_block_witness():
     blocks = tuple(tuple(b) for b in GOLDEN_S239[:-1])  # drop the last block
-    ok, w = check_steiner_exact(BlockCollection(9, 3, blocks))
+    ok, w = check_steiner_exact(BlockCollection(9, blocks))
     assert not ok
     assert w == (6, 7, 0)
 
 
 def test_steiner_exact_doubled_pair_witness():
     blocks = tuple(map(tuple, GOLDEN_S237)) + ((0, 1, 5),)
-    ok, w = check_steiner_exact(BlockCollection(7, 3, blocks))
+    ok, w = check_steiner_exact(BlockCollection(7, blocks))
     assert not ok
     assert w == (0, 1, 2)
 
 
 def test_steiner_matches_independent_counter():
     for blocks, v in [(GOLDEN_S239, 9), (GOLDEN_S237, 7), (GOLDEN_S239[:-1], 9)]:
-        bc = BlockCollection(v, 3, tuple(map(tuple, blocks)))
+        bc = BlockCollection(v, tuple(map(tuple, blocks)))
         assert check_steiner_exact(bc)[0] == helpers.is_steiner_exact(blocks, v)
 
 
@@ -182,7 +182,7 @@ def test_steiner_block_repeating_an_element():
     # every pair of distinct elements is covered once, but one block is
     # the element 0 three times
     blocks = tuple(map(tuple, GOLDEN_S237)) + ((0, 0, 0),)
-    assert check_steiner_exact(BlockCollection(7, 3, blocks)) == (False, (0, 0, 3))
+    assert check_steiner_exact(BlockCollection(7, blocks)) == (False, (0, 0, 3))
 
 
 def test_verify_design_wide_regular_cage_time():
@@ -304,7 +304,7 @@ def test_girth_and_steiner_witness_parity(q, n):
         want = ref_girth(m)
         assert girth_at_least_six(m) == want, blocks
         failures += not want[0]
-        bc = BlockCollection(d.v, d.k, blocks)
+        bc = BlockCollection(d.v, blocks)
         assert check_steiner_exact(bc) == ref_steiner(bc), blocks
     assert failures > 100
 
@@ -357,10 +357,10 @@ def test_partial_invariants_blank_gap():
 
 
 def test_out_of_range_ids_raise():
-    for bad, error in ((-1, ValueError), (3, IndexError)):
+    for bad in (-1, 3, None):
         blocks = ((0, bad), (1, 2))
-        with pytest.raises(error):
-            check_steiner_exact(BlockCollection(3, 2, blocks))
+        with pytest.raises(InvalidDesign, match=r"not an id in \[0, 3\)"):
+            check_steiner_exact(BlockCollection(3, blocks))
     # every one-slot edit to chunk id -1 or u; -1 used to wrap to chunk u-1
     sd = build_scaled_cage(2, 2)
     for g, row in enumerate(sd.nodes):
@@ -396,7 +396,7 @@ def test_cover_walk_verdict_on_mutants(q, n):
         blocks = tuple(tuple(b) for b in mutate(rng, d.x_neighbors, drop=True))
         once, pairs = assert_cover_walk_decides(blocks, d.v)
         steiner = once and pairs == d.v * (d.v - 1) // 2
-        assert steiner == ref_steiner(BlockCollection(d.v, d.k, blocks))[0], blocks
+        assert steiner == ref_steiner(BlockCollection(d.v, blocks))[0], blocks
         verdicts.add((once, steiner))
     assert verdicts == {(True, True), (True, False), (False, False)}
 
