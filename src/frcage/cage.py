@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from operator import getitem, itemgetter
 
 from .errors import IndexOutOfRange, InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
 from .gf import Field, field_new
@@ -189,16 +190,20 @@ def _resolve_max_edges(max_edges: int | None) -> int:
     return DEFAULT_MAX_EDGES
 
 
-def _square_order(mols: MolsSet) -> list[tuple[int, int]]:
-    """Fixed enumeration of the q**2 (m, i) pairs of one layer-3 group,
-    keyed by (column-1 symbol, column-0 symbol) of square m's row i."""
-    q = len(mols.squares)
-    keyed = sorted(
-        ((mols.squares[m].cells[i][1], mols.squares[m].cells[i][0]), m, i)
-        for m in range(q)
-        for i in range(q)
+def _decimal(x: int) -> str:
+    """x in decimal, or a lower bound where x passes Python's int-to-str limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"at least 2**{x.bit_length() - 1}"
+
+
+def _group_symbols(mols: MolsSet) -> list[tuple[int, ...]]:
+    """The q**2 lookups (m,) + L(m)[i] of one layer-3 group, in a fixed
+    order: by (column-1 symbol, column-0 symbol) of square m's row i."""
+    return sorted(
+        ((m,) + row for m, sq in enumerate(mols.squares) for row in sq.cells), key=itemgetter(2, 1)
     )
-    return [(m, i) for _, m, i in keyed]
 
 
 def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDesign:
@@ -222,29 +227,26 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
     for i in range(1, n + 1):
         edges = p_n(q, i + 1) * p_n(q, i)
         if edges > cap:
-            raise ResourceLimit(f"(q={q}, n={i}) needs {edges} edges, cap is {cap}")
+            raise ResourceLimit(f"(q={q}, n={i}) needs {_decimal(edges)} edges, cap is {cap}")
     f = _field(q)
-    mols = generate_mols(f)
-    order = _square_order(mols)
-    cells = [sq.cells for sq in mols.squares]
-    x = [tuple(range(q + 1))]  # n = 0: one chunk on the root and its q children
+    l = p_n(q, n)
+    v = 1 + q * l
+    # Rows look up one shared int per id: kids[g] holds node g's children 1 + g*q + s,
+    # and block {g_0 < ... < g_q} gives chunks kids[g_0][m], kids[g_{j+1}][L(m)[i][j]].
+    ids = list(range(v))
+    kids = [ids[1 + g * q : 1 + g * q + q] for g in range(l)]
+    syms = _group_symbols(generate_mols(f))  # the squares are freed here
+    x = [(0, *kids[0])]  # n = 0: one chunk on the root and its q children
     driving = 0  # first chunk id whose block has no layer-3 group yet
     for i in range(1, n + 1):
         u_prev = len(x)
-        x.extend(
-            (0,) + tuple(range(1 + j * q, 1 + j * q + q))
-            for j in range(p_n(q, i - 1), p_n(q, i))
-        )
+        x.extend((0, *kids[j]) for j in range(p_n(q, i - 1), p_n(q, i)))
         for blk in sorted(x[driving:u_prev]):
-            for m, r in order:
-                # blk ascends and ids 1 + g*q + s are grouped by g, so the row ascends
-                x.append(tuple(
-                    [1 + blk[0] * q + m] + [1 + g * q + s for g, s in zip(blk[1:], cells[m][r])]
-                ))
+            ks = [kids[g] for g in blk]
+            # blk ascends and kids[g]'s ids lie above those of any smaller g, so each row ascends
+            x.extend(tuple(map(getitem, ks, sym)) for sym in syms)
         driving = u_prev
-    del mols, cells  # q**3 cells: free them before the transpose needs room
-    l = p_n(q, n)
-    v = 1 + q * l
+    del syms  # q**3 symbols: free them before the transpose needs room
     return StorageDesign(
         q=q, n=n, k=q + 1, l=l, v=v, u=len(x), nodes=_transpose(x, v), field_meta=FieldMeta.of(f)
     )

@@ -24,7 +24,7 @@ import sys
 
 from . import design as design_mod
 from . import verify as verify_mod
-from .cage import _resolve_max_edges, build_scaled_cage, to_dot
+from .cage import _decimal, _resolve_max_edges, build_scaled_cage, to_dot
 from .errors import FrcageError, ResourceLimit
 from .gf import field_new
 from .mols import generate_mols
@@ -109,14 +109,12 @@ def _cmd_repair(args) -> int:
 
 def _cmd_bounds(args) -> int:
     bp = verify_mod.moore_bounds(args.k, args.l)
-    payload = {
-        "k": args.k,
-        "l": args.l,
-        "v_min": bp.v_min,
-        "u_min": str(bp.u_min),
-        "u_min_ceil": bp.u_min_ceil,
-    }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:  # str() refuses an int past Python's int-to-str digit limit
+        text = json.dumps({"k": args.k, "l": args.l, "v_min": bp.v_min, "u_min": str(bp.u_min),
+                           "u_min_ceil": bp.u_min_ceil}, sort_keys=True, indent=2)
+    except ValueError:
+        raise ResourceLimit("the bounds have more digits than Python prints") from None
+    sys.stdout.write(text + "\n")
     return 0
 
 
@@ -124,7 +122,7 @@ def _cmd_mols(args) -> int:
     # q squares of q*q cells; any q that construct accepts has more edges than this
     cap = _resolve_max_edges(None)
     if args.q**3 > cap:
-        raise ResourceLimit(f"mols for q={args.q} needs {args.q**3} cells, cap is {cap}")
+        raise ResourceLimit(f"mols for q={args.q} needs {_decimal(args.q**3)} cells, cap is {cap}")
     mset = generate_mols(field_new(args.q))
     if args.json:
         payload = [[list(row) for row in sq.cells] for sq in mset.squares]

@@ -21,7 +21,8 @@ class InvalidDegrees(FrcageError, ValueError):
 
 
 class ResourceLimit(FrcageError, RuntimeError):
-    """Requested construction exceeds the configured edge cap."""
+    """A request exceeds the configured edge cap, or its output exceeds
+    Python's int-to-str digit limit."""
 
 
 class IndexOutOfRange(FrcageError, IndexError):

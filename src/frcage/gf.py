@@ -88,7 +88,7 @@ class Field:
     module docstring.  Instances are safe to share between threads.
     """
 
-    __slots__ = ("q", "p", "m", "modulus", "alpha", "elements", "_index", "_add", "_mul")
+    __slots__ = ("q", "p", "m", "modulus", "alpha", "elements", "_add", "_mul")
 
     def __init__(self, q: int):
         p, m = factor_prime_power(q)
@@ -114,7 +114,6 @@ class Field:
         self.elements = tuple(elements)
         if sorted(self.elements) != list(range(q)):
             raise AssertionError("element sequence is not a bijection")
-        self._index = {e: i for i, e in enumerate(self.elements)}
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -125,10 +124,6 @@ class Field:
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial coordinates of an element, low degree first."""
         return tuple((a // self.p**i) % self.p for i in range(self.m))
-
-    def sequence_index(self, a: int) -> int:
-        """Position of an element in the e_0..e_{q-1} sequence."""
-        return self._index[a]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Field(q={self.q}, p={self.p}, m={self.m}, alpha={self.alpha})"

@@ -36,12 +36,15 @@ def generate_mols(f: Field) -> MolsSet:
     Cell (i, j) of square m is the sequence index of e_i + e_m * e_j,
     so column 0 (e_j = 0) reads 0, 1, ..., q-1.
     """
-    q, e = f.q, f.elements
+    e = f.elements
+    pos = [0] * f.q  # pos[a] is a's position in the element sequence
+    for i, a in enumerate(e):
+        pos[a] = i
+    # shifted[i][b] is the position of e_i + b, so a row is one lookup per cell
+    shifted = [tuple(map(pos.__getitem__, f._add[a])) for a in e]
     squares = []
-    for m in range(q):
-        rows = [
-            tuple(f.sequence_index(f.add(e[i], f.mul(e[m], e[j]))) for j in range(q))
-            for i in range(q)
-        ]
-        squares.append(Square(cells=tuple(rows)))
+    for em in e:
+        scaled = tuple(map(f._mul[em].__getitem__, e))  # e_m * e_j for every j
+        rows = tuple(tuple(map(row.__getitem__, scaled)) for row in shifted)
+        squares.append(Square(cells=rows))
     return MolsSet(squares=tuple(squares))

@@ -217,6 +217,21 @@ def test_mols_is_capped_before_the_field_is_built(capsys, monkeypatch):
     assert code == 2 and err.startswith("ResourceLimit:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--q", "9" * 1500, "--n", "1"),  # q**3 edges
+    ("mols", "--q", "9" * 1500),  # q**3 cells
+    ("bounds", "--k", "3", "--l", "9" * 2200),  # u_min ~ l**2
+], ids=["construct", "mols", "bounds"])
+def test_results_past_the_digit_limit_exit_2(capsys, argv):
+    # each input parses, but a number derived from it is past Python's
+    # 4,300-digit int-to-str limit
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "") and err.startswith("ResourceLimit:")
+    assert "Traceback" not in err
+
+
 def test_export_cli(tmp_path, capsys):
     path = tmp_path / "d.json"
     run(capsys, "construct", "--q", "2", "--n", "1", "-o", str(path))

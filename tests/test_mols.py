@@ -87,6 +87,25 @@ def test_family_properties(q):
     assert helpers.check_zeroth_column_only_overlap(grids)
 
 
+@pytest.mark.parametrize("q", [16, 25, 27, 32, 49, 64])
+def test_cells_match_field_oracle(q):
+    """Cell (i, j) of L(m) is the position of e_i + e_m * e_j, with the
+    sums, products and powers of alpha taken by schoolbook arithmetic
+    modulo the field's modulus, not from the field's tables."""
+    f = field_new(q)
+    oracle = helpers.FieldOracle(f.p, f.m, f.modulus)
+    e = [0, 1]
+    while len(e) < q:
+        e.append(oracle.mul(e[-1], f.alpha))
+    assert sorted(e) == list(range(q))  # alpha is primitive
+    pos = {a: i for i, a in enumerate(e)}
+    scaled = [[oracle.mul(em, ej) for ej in e] for em in e]
+    shifted = [[pos[oracle.add(ei, b)] for b in range(q)] for ei in e]
+    for m, sq in enumerate(generate_mols(f).squares):
+        want = tuple(tuple(row[b] for b in scaled[m]) for row in shifted)
+        assert sq.cells == want, m
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_orthogonality_invariant_under_simultaneous_row_permutation(q):
     mset = generate_mols(field_new(q))
