@@ -198,6 +198,15 @@ def _decimal(x: int) -> str:
         return f"at least 2**{x.bit_length() - 1}"
 
 
+def _check_edge_cap(q: int, n: int, max_edges: int | None) -> None:
+    """ResourceLimit when iteration i <= n needs u*k = p_{i+1}(q) * p_i(q) edges over the cap."""
+    cap = _resolve_max_edges(max_edges)
+    for i in range(1, n + 1):
+        edges = p_n(q, i + 1) * p_n(q, i)
+        if edges > cap:
+            raise ResourceLimit(f"(q={q}, n={i}) needs {_decimal(edges)} edges, cap is {cap}")
+
+
 def _group_symbols(mols: MolsSet) -> list[tuple[int, ...]]:
     """The q**2 lookups (m,) + L(m)[i] of one layer-3 group, in a fixed
     order: by (column-1 symbol, column-0 symbol) of square m's row i."""
@@ -221,13 +230,7 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
         raise InvalidParameter(f"n must be >= 1, got {n}")
     if q < 2:
         raise NotPrimePower(f"q must be >= 2, got {q}")
-    cap = _resolve_max_edges(max_edges)
-    # Iteration i has u*k = p_{i+1}(q) * p_i(q) edges, so an over-cap
-    # request is refused before q is factored and GF(q) is built.
-    for i in range(1, n + 1):
-        edges = p_n(q, i + 1) * p_n(q, i)
-        if edges > cap:
-            raise ResourceLimit(f"(q={q}, n={i}) needs {_decimal(edges)} edges, cap is {cap}")
+    _check_edge_cap(q, n, max_edges)
     f = _field(q)
     l = p_n(q, n)
     v = 1 + q * l

@@ -84,9 +84,14 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-# The loaded design and its location index are freed before to_json runs.
 def _cmd_expand(args) -> int:
-    new = design_mod.expand(_load(args.input), max_edges=args.max_edges)
+    with open(args.input) as fh:
+        old = design_mod._parse(fh.read())
+    # refusals that read no row, the edge cap among them, come before the row checks
+    design_mod._require_expandable(old, args.max_edges)
+    design_mod._validate(old)
+    new = design_mod.expand(old, max_edges=args.max_edges)
+    del old  # free the loaded design and its location index before to_json
     _write(design_mod.to_json(new), args.output)
     return 0
 

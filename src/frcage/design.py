@@ -18,6 +18,7 @@ from .cage import (
     SCHEMA_VERSION,
     FieldMeta,
     StorageDesign,
+    _check_edge_cap,
     build_scaled_cage,
     chunks_per_iteration,
     p_n,
@@ -66,6 +67,15 @@ def _require_canonical(sd: StorageDesign) -> None:
                            f"construction={sd.construction!r}")
 
 
+def _require_expandable(old: StorageDesign, max_edges: int | None) -> None:
+    """expand's refusals that read no row, in order: provenance and completeness
+    (NotCanonical), then the edge cap for (q, n+1) (ResourceLimit)."""
+    _require_canonical(old)
+    if not old.is_complete:
+        raise NotCanonical("partially filled designs cannot be expanded")
+    _check_edge_cap(old.q, old.n + 1, max_edges)
+
+
 def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
     """Grow a canonical (q, n) design to (q, n+1).
 
@@ -73,13 +83,8 @@ def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
     is preserved; new chunk ids are appended only.  Only (q, n+1) is
     built: `old` must equal its (q, n) prefix (the first p_{n+1}(q)
     nodes, the first p_n(q) slots of each, same field metadata), or
-    NotCanonical is raised.  An over-cap request raises ResourceLimit
-    before anything is built, so a table that is both non-canonical
-    and over the cap gets ResourceLimit.
-    """
-    _require_canonical(old)
-    if not old.is_complete:
-        raise NotCanonical("partially filled designs cannot be expanded")
+    NotCanonical is raised, after _require_expandable's refusals."""
+    _require_expandable(old, max_edges)
     new = build_scaled_cage(old.q, old.n + 1, max_edges=max_edges)
     v, l = p_n(old.q, old.n + 1), p_n(old.q, old.n)
     prefix = replace(
@@ -98,8 +103,8 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
 
     Valid u_tilde lie strictly above the previous iteration's chunk
     count and at most at this iteration's; slot positions are kept so
-    chunks can be filled in later without moving anything.  Like
-    expand, it refuses tables this library did not build (NotCanonical).
+    chunks can be filled in later without moving anything.  Tables this
+    library did not build raise NotCanonical, ids outside [0, u) InvalidDesign.
     """
     _require_canonical(full)
     if not full.is_complete:
@@ -107,6 +112,7 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     u_prev = chunks_per_iteration(full.q, full.n - 1)
     if not u_prev < u_tilde <= full.u:
         raise OutOfRange(f"u_tilde must be in ({u_prev}, {full.u}], got {u_tilde}")
+    full.x_neighbors  # range-checks every id; a load has already built it
     nodes = tuple(
         tuple(c if c is not None and c < u_tilde else None for c in row) for row in full.nodes
     )
@@ -147,7 +153,10 @@ def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
 def _replica_defect(sd: StorageDesign):
     """(chunk, replicas) for the first present chunk without exactly k
     replicas, else None."""
-    for c, holders in enumerate(chunk_locations(sd)):
+    locs = chunk_locations(sd)
+    if set(map(len, locs)) <= {0, sd.k}:
+        return None
+    for c, holders in enumerate(locs):
         if holders and len(holders) != sd.k:
             return c, len(holders)
     return None
@@ -209,6 +218,14 @@ def to_json(sd: StorageDesign) -> str:
 
 def from_json(text: str) -> StorageDesign:
     """Parse and validate a serialized design.  Raises InvalidDesign."""
+    sd = _parse(text)
+    _validate(sd)
+    return sd
+
+
+def _parse(text: str) -> StorageDesign:
+    """from_json's first stage: the JSON and the O(1) header checks that
+    creating the design runs; the rows are not checked."""
     try:
         payload = json.loads(text)
     except ValueError as exc:  # also an integer past the int-to-str digit limit
@@ -224,14 +241,12 @@ def from_json(text: str) -> StorageDesign:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDesign(f"malformed design payload: {exc}") from exc
-    sd = StorageDesign(**fields, nodes=nodes, field_meta=field_meta)
-    _validate(sd)
-    return sd
+    return StorageDesign(**fields, nodes=nodes, field_meta=field_meta)
 
 
 def _validate(sd: StorageDesign) -> None:
-    """Row checks; the header was checked when sd was created, and chunk
-    ids are range-checked as _replica_defect builds x_neighbors."""
+    """from_json's second stage, the row checks; chunk ids are
+    range-checked as _replica_defect builds x_neighbors."""
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")

@@ -12,7 +12,7 @@ import pytest
 from frcage import (
     build_scaled_cage, chunks_per_iteration, to_json, verify_design,
 )
-from frcage import cli
+from frcage import cage, cli, design
 from frcage.cli import main
 from conftest import GOLDEN_MOLS_Q3
 import helpers
@@ -98,6 +98,53 @@ def test_refused_expand_names_the_cap_first(tmp_path, capsys):
     # (2, 3) needs 465 edges: the cap is checked before the table is compared
     code, _, err = run(capsys, "expand", "-i", str(path), "--max-edges", "400")
     assert code == 2 and err.startswith("ResourceLimit:")
+
+
+def _q2n2_file(tmp_path, capsys, edit=None, name="d.json"):
+    """A (2,2) design file, with `edit` applied to its payload."""
+    path = tmp_path / name
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    payload = json.loads(path.read_text())
+    if edit is not None:
+        edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _swap_row3(payload):
+    row = payload["nodes"][3]
+    row[0], row[6] = row[6], row[0]
+
+
+def test_over_cap_expand_is_refused_before_the_rows(tmp_path, capsys, monkeypatch):
+    # (2, 3) needs 465 edges; the refusal order is JSON, header,
+    # provenance, completeness, cap, rows, then the prefix compare
+    path = _q2n2_file(tmp_path, capsys, _swap_row3)
+    good = _q2n2_file(tmp_path, capsys, name="good.json")
+    code, out, err = run(capsys, "expand", "-i", str(path), "--max-edges", "400")
+    assert (code, out) == (2, "") and err.startswith("ResourceLimit:"), err
+    code, out, err = run(capsys, "expand", "-i", str(path))
+    assert (code, out) == (2, "") and err.startswith("InvalidDesign: node 3 does not list"), err
+
+    def boom(*args, **kwargs):
+        raise AssertionError("an over-cap expand checked or indexed the rows")
+
+    monkeypatch.setattr(design, "_validate", boom)
+    monkeypatch.setattr(cage, "_transpose", boom)
+    for p in (path, good):
+        code, out, err = run(capsys, "expand", "-i", str(p), "--max-edges", "400")
+        assert (code, out) == (2, "") and err.startswith("ResourceLimit:"), err
+
+
+def test_over_cap_expand_checks_provenance_first(tmp_path, capsys):
+    hand = _q2n2_file(tmp_path, capsys, lambda p: p["header"].update(construction="hand-built"))
+    code, out, err = run(capsys, "expand", "-i", str(hand), "--max-edges", "400")
+    assert (code, out) == (2, "") and err.startswith("NotCanonical: unknown provenance"), err
+
+    full, part = _q2n2_file(tmp_path, capsys, name="full.json"), tmp_path / "part.json"
+    assert run(capsys, "fill", "-i", str(full), "--chunks", "30", "-o", str(part))[0] == 0
+    code, out, err = run(capsys, "expand", "-i", str(part), "--max-edges", "400")
+    assert (code, out) == (2, "") and err.startswith("NotCanonical: partially filled"), err
 
 
 def test_failed_write_keeps_old_output(tmp_path, capsys, monkeypatch):

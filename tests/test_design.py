@@ -267,6 +267,17 @@ def test_partial_fill_boundaries():
         partial_fill(full, 36)
 
 
+@pytest.mark.parametrize("bad", [-1, 35])
+def test_partial_fill_refuses_ids_out_of_range(bad):
+    # -1 < 30 would be kept and 35 blanked; either way the rows are not
+    # a (2,2) table, and the result could not be reloaded
+    full = build_scaled_cage(2, 2)
+    rows = [list(row) for row in full.nodes]
+    rows[3][0] = bad
+    with pytest.raises(InvalidDesign, match="out of range"):
+        partial_fill(replace(full, nodes=tuple(map(tuple, rows))), 30)
+
+
 def test_partial_fill_steiner_on_present_chunks():
     full = build_scaled_cage(2, 2)
     for u_tilde in (8, 12, 21, 34):

@@ -149,6 +149,21 @@ def test_verify_design_missing_edge():
     assert rep.witnesses["degree"] == ("y", 1, 1)
 
 
+def test_verify_design_names_a_row_that_repeats_a_chunk():
+    # Node 1 holds chunk c twice in place of b, and node h, which shares
+    # only c with node 1, holds b in place of c: every chunk still has k
+    # holders and every row l slots, so only the repeat is a defect.
+    d = build_scaled_cage(2, 2)
+    rows = [list(row) for row in d.nodes]
+    c, b = rows[1][0], rows[1][1]
+    h = next(g for g in d.x_neighbors[c] if g != 1)
+    rows[1][1] = c
+    rows[h][rows[h].index(c)] = b
+    rep = verify_design(replace(d, nodes=tuple(map(tuple, rows))))
+    assert not rep.degrees_ok
+    assert rep.witnesses["degree"] == ("x", c, d.k - 1)
+
+
 def test_verify_design_refuses_a_partial_table():
     part = partial_fill(build_scaled_cage(2, 2), 30)
     with pytest.raises(InvalidDesign, match="partially filled"):
@@ -345,6 +360,17 @@ def test_partial_invariants_witness_parity(q, n):
 # ---------------------------------------------------------------------------
 # the cover walk decides; the witness walk only names the defect
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kept", [1, 2])
+def test_partial_invariants_name_a_chunk_short_of_replicas(kept):
+    # every other chunk keeps its k replicas, so only chunk 5's count is wrong
+    full = build_scaled_cage(2, 2)
+    drop = set(full.x_neighbors[5][kept:])
+    sd = replace(full, nodes=tuple(
+        tuple(None if c == 5 and g in drop else c for c in row) for g, row in enumerate(full.nodes)
+    ))
+    assert check_partial_invariants(sd) == (False, {"replicas": (5, kept)})
+
 
 def test_partial_invariants_blank_gap():
     full = build_scaled_cage(2, 2)
