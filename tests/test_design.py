@@ -415,12 +415,16 @@ CONSTRUCT_SHA256 = {
     (13, 2): "c7de78d3c5e7152162e934f9dcd4db50825584d8f34d9fd1342b06180850b279",
     (9, 2): "cbd672e0726c34d02dc4e9419b7747b863f4297198df34eba0fe26071f36afeb",
     (81, 1): "c44993e19199b5735e16c3bb232c2cbdd439c6a7fb0d2316d4e8207c9373bfb1",
+    (7, 3): "284a9dd80c530ce772eeb75ca2d8c387ae95ab305d0c0da63227131a01eff461",
+    (16, 2): "4638a25251ec8a6361d3927ac274c98930dd89beb733cccef9779e1fe3b51ea0",
+    (5, 2): "3d24aa22c93c110fefe5e490d027e2b0d543c1ddbd33a61fe824a316ba487c02",
+    (8, 2): "f0efdcaf8fb36f82e1553dc4368491d78b30995678314ba83ddea851ae864f53",
 }
 
 
 @pytest.mark.parametrize("q, n", sorted(CONSTRUCT_SHA256))
 def test_construct_json_is_pinned(q, n):
-    text = to_json(build_scaled_cage(q, n))
+    text = to_json(build_scaled_cage(q, n, max_edges=10**7))  # (7,3), (16,2) pass the 10**6 default
     assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_SHA256[(q, n)]
 
 
