@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from operator import getitem, itemgetter
+from operator import itemgetter
 
 from .errors import IndexOutOfRange, InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
 from .gf import Field, field_new
@@ -238,18 +238,18 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
     # and block {g_0 < ... < g_q} gives chunks kids[g_0][m], kids[g_{j+1}][L(m)[i][j]].
     ids = list(range(v))
     kids = [ids[1 + g * q : 1 + g * q + q] for g in range(l)]
-    syms = _group_symbols(generate_mols(f))  # the squares are freed here
+    # cols[j] picks column j of every group symbol from block member g_j's children
+    cols = [itemgetter(*c) for c in zip(*_group_symbols(generate_mols(f)))]
     x = [(0, *kids[0])]  # n = 0: one chunk on the root and its q children
     driving = 0  # first chunk id whose block has no layer-3 group yet
     for i in range(1, n + 1):
         u_prev = len(x)
         x.extend((0, *kids[j]) for j in range(p_n(q, i - 1), p_n(q, i)))
         for blk in sorted(x[driving:u_prev]):
-            ks = [kids[g] for g in blk]
             # blk ascends and kids[g]'s ids lie above those of any smaller g, so each row ascends
-            x.extend(tuple(map(getitem, ks, sym)) for sym in syms)
+            x.extend(zip(*map(itemgetter.__call__, cols, map(kids.__getitem__, blk))))
         driving = u_prev
-    del syms  # q**3 symbols: free them before the transpose needs room
+    del cols  # q**3 symbols: free them before the transpose needs room
     return StorageDesign(
         q=q, n=n, k=q + 1, l=l, v=v, u=len(x), nodes=_transpose(x, v), field_meta=FieldMeta.of(f)
     )

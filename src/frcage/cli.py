@@ -21,6 +21,7 @@ import gc
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import design as design_mod
 from . import verify as verify_mod
@@ -90,8 +91,9 @@ def _cmd_expand(args) -> int:
     # refusals that read no row, the edge cap among them, come before the row checks
     design_mod._require_expandable(old, args.max_edges)
     design_mod._validate(old)
+    old = replace(old)  # drop the location index _validate cached: expand never reads it
     new = design_mod.expand(old, max_edges=args.max_edges)
-    del old  # free the loaded design and its location index before to_json
+    del old  # free the loaded design before to_json
     _write(design_mod.to_json(new), args.output)
     return 0
 

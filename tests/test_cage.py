@@ -166,6 +166,19 @@ def test_build_shares_one_int_per_node_id():
     assert peak < 18 * 2**20, peak
 
 
+def test_build_frees_group_columns():
+    # The q + 1 column lookups hold q**3 symbols; the build frees them
+    # before the transpose.  Peak traced memory on (64, 1): 7.65 MiB
+    # with them freed, 9.69 MiB with them held through the transpose.
+    tracemalloc.start()
+    try:
+        build_scaled_cage(64, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2**20, peak
+
+
 def test_golden_q2_n2_table():
     sd = build_scaled_cage(2, 2)
     assert [list(r) for r in sd.nodes] == GOLDEN_S2315_T

@@ -6,6 +6,7 @@ import os
 import stat
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -85,6 +86,22 @@ def test_expand_cli(tmp_path, capsys):
     assert code == 0, err
     payload = json.loads(big.read_text())
     assert payload["header"]["n"] == 2 and payload["header"]["num_nodes"] == 15
+
+
+def test_expand_frees_the_loaded_index_before_it_builds(tmp_path):
+    # Loading caches the location index, which expand never reads.
+    # Traced peak of (2,6) -> (2,7) under pytest: 8.04 MiB while the
+    # index lived through the (2,7) build, 7.42 MiB once it is dropped
+    # (32.6 and 29.6 MiB on (2,7) -> (2,8)).
+    old, new = tmp_path / "d26.json", tmp_path / "d27.json"
+    old.write_text(to_json(build_scaled_cage(2, 6)))
+    tracemalloc.start()
+    try:
+        assert main(["expand", "-i", str(old), "-o", str(new)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.75 * 2**20, peak
 
 
 def test_refused_expand_names_the_cap_first(tmp_path, capsys):
