@@ -11,7 +11,6 @@ from .cage import (
     BlockCollection,
     FieldMeta,
     StorageDesign,
-    b_h_subgraph,
     build_scaled_cage,
     chunks_per_iteration,
     p_n,
@@ -30,7 +29,6 @@ from .design import (
 )
 from .errors import (
     FrcageError,
-    IndexOutOfRange,
     InvalidDegrees,
     InvalidDesign,
     InvalidParameter,

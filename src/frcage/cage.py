@@ -29,11 +29,11 @@ in sorted block order.  Growing n never renumbers or moves anything.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from .errors import IndexOutOfRange, InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
+from .errors import InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
 from .gf import Field, field_new
 from .mols import MolsSet, generate_mols
 
@@ -46,7 +46,6 @@ __all__ = [
     "p_n",
     "chunks_per_iteration",
     "build_scaled_cage",
-    "b_h_subgraph",
     "to_dot",
     "DEFAULT_MAX_EDGES",
 ]
@@ -252,51 +251,6 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
     del cols  # q**3 symbols: free them before the transpose needs room
     return StorageDesign(
         q=q, n=n, k=q + 1, l=l, v=v, u=len(x), nodes=_transpose(x, v), field_meta=FieldMeta.of(f)
-    )
-
-
-def b_h_subgraph(d: StorageDesign, h: int) -> StorageDesign:
-    """Subgraph induced by driving block h: the root, the block's
-    layer-1 vertices with their layer-2 children, and the block's own
-    layer-3 group.  The result has regular-cage parameters.
-
-    Everything is read off x_neighbors, so a table loaded from a file
-    works too.  Block h is chunk h of the (q, n-1)
-    prefix, for h < u_{n-1} = p_n(q) * p_{n-1}(q) / (q+1).  Its layer-3
-    group is the chunks whose layer-2 parents {(y-1) // q} are exactly
-    the block.  The root maps to -1, so no layer-1 row qualifies, and
-    blocks are distinct, so no other group's chunk does.  Raises
-    InvalidParameter for n < 2, and InvalidDesign when the group does
-    not have q**2 members, as in a tampered design, or when the design
-    is too short for its (q, n).
-    """
-    if d.n < 2:
-        raise InvalidParameter("b_h_subgraph requires a design built with n >= 2")
-    q = d.q
-    # u_{n-1} > q and u_{n-1} >= 2**(n-1), so a header failing this bound
-    # is too short for its table, and p_n need not be computed for it.
-    if not (q < d.u and d.n <= d.u.bit_length()):
-        raise InvalidDesign(f"(q={q}, n={d.n}) needs more than {d.u} chunks")
-    u_prev = chunks_per_iteration(q, d.n - 1)
-    if not 0 <= h < u_prev:
-        raise IndexOutOfRange(f"h must be in [0, {u_prev}), got {h}")
-    if d.u < u_prev:
-        raise InvalidDesign(f"(q={q}, n={d.n}) needs over {u_prev} chunks, got {d.u}")
-    block = d.x_neighbors[h]
-    members = set(block)
-    group = [ys for ys in d.x_neighbors if {(y - 1) // q for y in ys} == members]
-    if len(group) != q * q:
-        raise InvalidDesign(f"block {h} has {len(group)} layer-3 chunks, expected {q * q}")
-
-    y_map = {0: 0}
-    for pos, j in enumerate(block):
-        for m in range(q):
-            y_map[1 + j * q + m] = 1 + pos * q + m
-    x_neighbors = [(0,) + tuple(range(1 + pos * q, 1 + pos * q + q)) for pos in range(len(block))]
-    x_neighbors += [tuple(sorted(y_map[y] for y in ys)) for ys in group]
-    size = q * q + q + 1
-    return replace(
-        d, n=1, k=q + 1, l=q + 1, v=size, u=size, nodes=_transpose(x_neighbors, size)
     )
 
 

@@ -58,7 +58,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _load(path: str) -> design_mod.StorageDesign:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # from_json decodes: JSON text is UTF-8 whatever the locale
         return design_mod.from_json(fh.read())
 
 
@@ -86,7 +86,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    with open(args.input) as fh:
+    with open(args.input, "rb") as fh:
         old = design_mod._parse(fh.read())
     # refusals that read no row, the edge cap among them, come before the row checks
     design_mod._require_expandable(old, args.max_edges)

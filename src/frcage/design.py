@@ -216,19 +216,19 @@ def to_json(sd: StorageDesign) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def from_json(text: str) -> StorageDesign:
-    """Parse and validate a serialized design.  Raises InvalidDesign."""
+def from_json(text: str | bytes) -> StorageDesign:
+    """Parse and validate a serialized design, text or UTF-8 bytes.  Raises InvalidDesign."""
     sd = _parse(text)
     _validate(sd)
     return sd
 
 
-def _parse(text: str) -> StorageDesign:
+def _parse(text: str | bytes) -> StorageDesign:
     """from_json's first stage: the JSON and the O(1) header checks that
     creating the design runs; the rows are not checked."""
     try:
-        payload = json.loads(text)
-    except ValueError as exc:  # also an integer past the int-to-str digit limit
+        payload = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, too deep, or an int too long
         raise InvalidDesign(f"cannot parse JSON: {exc}") from exc
     try:
         header = payload["header"]

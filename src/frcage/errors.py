@@ -25,10 +25,6 @@ class ResourceLimit(FrcageError, RuntimeError):
     Python's int-to-str digit limit."""
 
 
-class IndexOutOfRange(FrcageError, IndexError):
-    """Block index outside the valid range for this design."""
-
-
 class OutOfRange(FrcageError, ValueError):
     """Chunk-count argument outside the valid fill window."""
 

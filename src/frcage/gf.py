@@ -84,11 +84,12 @@ class Field:
 
     Attributes mirror the construction inputs: characteristic p,
     extension degree m, modulus (monic, coefficients low to high),
-    primitive element alpha, and the element sequence described in the
-    module docstring.  Instances are safe to share between threads.
+    primitive element alpha, the element sequence and the tables
+    add[a][b] and mul[a][b] described in the module docstring.
+    Instances are safe to share between threads.
     """
 
-    __slots__ = ("q", "p", "m", "modulus", "alpha", "elements", "_add", "_mul")
+    __slots__ = ("q", "p", "m", "modulus", "alpha", "elements", "add", "mul")
 
     def __init__(self, q: int):
         p, m = factor_prime_power(q)
@@ -104,22 +105,16 @@ class Field:
         while (mul := _mul_table(add, p, tail)) is None:
             tail += 1
         self.modulus = self.coeffs(tail) + (1,)
-        self._add = tuple(map(tuple, add))
-        self._mul = tuple(map(tuple, mul))
+        self.add = tuple(map(tuple, add))
+        self.mul = tuple(map(tuple, mul))
 
         self.alpha = find_primitive_element(self)
         elements = [0, 1]
         while len(elements) < q:
-            elements.append(self._mul[elements[-1]][self.alpha])
+            elements.append(self.mul[elements[-1]][self.alpha])
         self.elements = tuple(elements)
         if sorted(self.elements) != list(range(q)):
             raise AssertionError("element sequence is not a bijection")
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial coordinates of an element, low degree first."""
@@ -140,7 +135,7 @@ def find_primitive_element(f: Field) -> int:
     for a in range(1, f.q):
         x, o = a, 1
         while x != 1:
-            x = f._mul[x][a]
+            x = f.mul[x][a]
             o += 1
         if o == target:
             return a

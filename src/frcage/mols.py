@@ -41,10 +41,10 @@ def generate_mols(f: Field) -> MolsSet:
     for i, a in enumerate(e):
         pos[a] = i
     # shifted[i][b] is the position of e_i + b, so a row is one lookup per cell
-    shifted = [tuple(map(pos.__getitem__, f._add[a])) for a in e]
+    shifted = [tuple(map(pos.__getitem__, f.add[a])) for a in e]
     squares = []
     for em in e:
-        scaled = tuple(map(f._mul[em].__getitem__, e))  # e_m * e_j for every j
+        scaled = tuple(map(f.mul[em].__getitem__, e))  # e_m * e_j for every j
         rows = tuple(tuple(map(row.__getitem__, scaled)) for row in shifted)
         squares.append(Square(cells=rows))
     return MolsSet(squares=tuple(squares))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .cage import BlockCollection, StorageDesign
 from .errors import InvalidDegrees, InvalidDesign
@@ -148,6 +149,8 @@ def check_steiner_exact(bc: BlockCollection):
     raises InvalidDesign."""
     v = bc.num_elements
     try:
+        if max(chain.from_iterable(bc.blocks), default=-1) >= v:  # before 1 << id, in C
+            raise IndexError
         if _cover_walk(bc.blocks, v) == (True, v * (v - 1) // 2):
             return True, None
     except (IndexError, TypeError, ValueError) as exc:

@@ -49,6 +49,22 @@ def incidence_from_blocks(blocks, num_elements) -> StorageDesign:
     return storage_from_rows(rows, num_chunks=len(blocks), k=len(blocks[0]))
 
 
+def b_h_blocks(d: StorageDesign, h: int) -> list[tuple[int, ...]]:
+    """Blocks of the subgraph that driving block h induces in a
+    canonical (q, n >= 2) design, for h below the (q, n-1) chunk count:
+    the chunks whose holders all lie in {root} + the layer-2 children of
+    block h's nodes.  Those are the block's layer-1 chunks and its
+    layer-3 group.  The root stays node 0 and child m of the block's
+    j-th node becomes 1 + j*q + m, so block 0 = {0, ..., q} is relabelled
+    to itself."""
+    q, holders = d.q, holders_from_rows(d.nodes, d.u)
+    label = {0: 0}
+    for j, g in enumerate(holders[h]):
+        for m in range(q):
+            label[1 + g * q + m] = 1 + j * q + m
+    return [tuple(sorted(map(label.get, ys))) for ys in holders if label.keys() >= set(ys)]
+
+
 def holders_from_rows(rows, num_chunks) -> tuple[tuple[int, ...], ...]:
     """For each chunk id, the ids of the rows containing it, found by
     testing every row for every chunk."""

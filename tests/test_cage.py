@@ -1,19 +1,14 @@
 """Cage construction: sizes, golden tables, subgraphs, determinism."""
 
-import time
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
 from frcage import (
     BlockCollection,
-    IndexOutOfRange,
     InvalidDesign,
-    InvalidParameter,
     NotPrimePower,
     ResourceLimit,
-    b_h_subgraph,
     build_scaled_cage,
     check_steiner_exact,
     chunks_per_iteration,
@@ -188,80 +183,33 @@ def test_golden_q2_n2_table():
 # induced subgraphs
 # ---------------------------------------------------------------------------
 
+def b_h_design(d, h):
+    return helpers.incidence_from_blocks(helpers.b_h_blocks(d, h), d.q**2 + d.q + 1)
+
+
 def test_b_h_subgraph_isomorphic_to_regular_cage():
     d = build_scaled_cage(2, 2)
     cage = build_scaled_cage(2, 1)
     for h in range(7):
-        sub = b_h_subgraph(d, h)
+        sub = b_h_design(d, h)
         assert (sub.u, sub.v, sub.k, sub.l) == (7, 7, 3, 3)
         assert helpers.bipartite_isomorphic(sub, cage)
 
 
 def test_b_h_subgraph_block_zero_is_literal():
     # the first driving block is 0..q, so its subgraph is the cage itself
-    d = build_scaled_cage(2, 2)
-    assert b_h_subgraph(d, 0) == build_scaled_cage(2, 1)
-
-
-def test_b_h_subgraph_errors():
-    d = build_scaled_cage(2, 2)
-    with pytest.raises(IndexOutOfRange):
-        b_h_subgraph(d, 7)
-    with pytest.raises(IndexOutOfRange):
-        b_h_subgraph(d, -1)
-    with pytest.raises(InvalidParameter):
-        b_h_subgraph(build_scaled_cage(2, 1), 0)
-    # a (2, 2) table whose header claims n = 4 has no chunk 40
-    short = replace(d, n=4, construction="hand-built")
-    with pytest.raises(InvalidDesign, match="needs over 155 chunks"):
-        b_h_subgraph(short, 40)
-    # a header too large for its chunk count is refused before p_n(q, n) is computed
-    t0 = time.perf_counter()
-    for huge in (replace(short, n=10**7), replace(short, q=10**9)):
-        with pytest.raises(InvalidDesign, match="needs more than 35 chunks"):
-            b_h_subgraph(huge, 0)
-    assert time.perf_counter() - t0 < 1.0
-    # chunk 3 of block 0's layer-3 group loses its holder node 1
-    nodes = [list(row) for row in d.nodes]
-    nodes[1][nodes[1].index(3)] = 7
-    with pytest.raises(InvalidDesign, match="layer-3 chunks"):
-        b_h_subgraph(replace(d, nodes=tuple(map(tuple, nodes))), 0)
+    for q in (2, 3):
+        cage = build_scaled_cage(q, 1)
+        assert helpers.b_h_blocks(build_scaled_cage(q, 2), 0) == list(cage.x_neighbors)
 
 
 def test_b_h_subgraph_q3():
     d = build_scaled_cage(3, 2)
     cage = build_scaled_cage(3, 1)
-    for h in (0, 5, 12):
-        sub = b_h_subgraph(d, h)
+    for h in range(13):
+        sub = b_h_design(d, h)
         assert (sub.u, sub.v) == (13, 13)
         assert helpers.bipartite_isomorphic(sub, cage)
-
-
-@pytest.mark.parametrize("q", [2, 3])
-def test_b_h_subgraph_of_rebuilt_design(q):
-    d = build_scaled_cage(q, 2)
-    rebuilt = from_json(to_json(d))
-    for h in range(p_n(q, 2)):
-        assert b_h_subgraph(rebuilt, h) == b_h_subgraph(d, h)
-
-
-def test_b_h_subgraph_group_is_checked():
-    d = build_scaled_cage(2, 2)
-
-    def nodes(ys):
-        return tuple(sorted({(y - 1) // 2 for y in ys}))
-
-    # swap the last Y vertex of two layer-3 rows from different groups
-    rows = [list(ys) for ys in d.x_neighbors]
-    layer3 = [c for c, ys in enumerate(rows) if 0 not in ys]
-    a = layer3[0]
-    b = next(c for c in layer3 if (rows[c][-1] - 1) // 2 != (rows[a][-1] - 1) // 2)
-    rows[a][-1], rows[b][-1] = rows[b][-1], rows[a][-1]
-    tampered = replace(d, nodes=helpers.incidence_from_blocks(rows, d.v).nodes)
-    for c in (a, b):
-        h = d.x_neighbors.index(nodes(d.x_neighbors[c]))
-        with pytest.raises(ValueError, match="layer-3 chunks"):
-            b_h_subgraph(tampered, h)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +228,10 @@ def test_designs_satisfy_veblen_young(q, n):
 def test_b_h_subgraphs_are_projective_planes(q):
     d = build_scaled_cage(q, 2)
     for h in range(p_n(q, 2)):
-        sub = b_h_subgraph(d, h)
-        assert sub.v == q * q + q + 1
-        assert helpers.is_steiner_exact(sub.x_neighbors, sub.v)
-        assert helpers.veblen_young_violation(sub.x_neighbors, sub.v) is None
+        blocks, v = helpers.b_h_blocks(d, h), q * q + q + 1
+        assert len(blocks) == v
+        assert helpers.is_steiner_exact(blocks, v)
+        assert helpers.veblen_young_violation(blocks, v) is None
 
 
 def test_veblen_young_tells_pg32_from_bose_sts15():

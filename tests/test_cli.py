@@ -392,7 +392,7 @@ def _refused_fast(capsys, tmp_path, text, error, *argvs):
     """Each command refuses the design file `text` on its own: exit 2,
     no output, a named error and no traceback, in under 1 s."""
     path = tmp_path / "d.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     for argv in argvs:
         t0 = time.perf_counter()
         code, out, err = run(capsys, *argv, "-i", str(path))
@@ -415,6 +415,19 @@ def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys, key):
     text = json.dumps(payload).replace("123456789", "9" * 5000)
     _refused_fast(capsys, tmp_path, text, "InvalidDesign",
                   ["verify"], ["repair", "--node", "0"], ["fill", "--chunks", "3"])
+
+
+@pytest.mark.parametrize("edit", ["not_utf8", "deep"])
+def test_undecodable_or_deep_files_exit_2(tmp_path, capsys, edit):
+    # JSON text is UTF-8 whatever the locale, and json.loads recurses once per level
+    if edit == "not_utf8":
+        text = to_json(build_scaled_cage(2, 3)).encode()
+        text = text[: len(text) // 2] + b"\xff" + text[len(text) // 2 :]
+    else:
+        text = b"[" * 1000 + b"]" * 1000
+    _refused_fast(capsys, tmp_path, text, "InvalidDesign",
+                  ["verify"], ["repair", "--node", "0"], ["fill", "--chunks", "100"],
+                  ["expand"], ["export", "--format", "csv"])
 
 
 def test_hand_built_num_chunks_is_bounded(tmp_path, capsys):

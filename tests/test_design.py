@@ -388,6 +388,11 @@ def test_json_roundtrip():
         assert to_json(from_json(text)) == text
 
 
+def test_from_json_takes_utf8_bytes():
+    for sd in (build_scaled_cage(2, 2), partial_fill(build_scaled_cage(2, 2), 12)):
+        assert from_json(to_json(sd).encode()) == sd
+
+
 def test_json_roundtrip_partial():
     part = partial_fill(build_scaled_cage(2, 2), 12)
     text = to_json(part)
@@ -433,6 +438,16 @@ def test_from_json_rejects_garbage():
         from_json("not json")
     with pytest.raises(InvalidDesign):
         from_json("{}")
+    # JSON text is UTF-8 (RFC 8259); a lone surrogate is not UTF-8 either
+    text = to_json(build_scaled_cage(2, 2)).encode()
+    for bad in (text[:99] + b"\xff" + text[99:], text.replace(b'"1"', b'"\xed\xa0\x80"')):
+        with pytest.raises(InvalidDesign, match="cannot parse JSON"):
+            from_json(bad)
+    # nesting deeper than json.loads recurses
+    for deep in ("[" * 1000 + "]" * 1000, '{"a":' * 1000 + "0" + "}" * 1000):
+        for form in (deep, deep.encode()):
+            with pytest.raises(InvalidDesign, match="cannot parse JSON"):
+                from_json(form)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,10 @@ through `verify`, `repair`, `fill` and `expand`.  Every run must exit
 error, and `verify` may call a table sound only when the oracles in
 helpers.py, reading the raw rows, agree.
 
+Each byte mutant of the (2,3) file has 1 to 3 raw edits, so it also
+reaches the decoder and the JSON parser: it runs through `verify`,
+`repair`, `fill`, `expand` and `export` under the same exit rules.
+
 Each library mutant is a table with one header field or one slot
 edited by dataclasses.replace.  Every public function that takes a
 table must return or raise a FrcageError, within a second.
@@ -21,7 +25,6 @@ import pytest
 
 from frcage import (
     FieldMeta,
-    b_h_subgraph,
     build_scaled_cage,
     check_partial_invariants,
     chunks_per_iteration,
@@ -230,6 +233,48 @@ def test_sound_oracle_reads_the_rows():
     assert _sound(partial, header) == (False, False)
 
 
+BYTE_MUTANTS = 300
+TOKENS = [b"\xff", b"[" * 3000, b"9" * 5000, b"NaN", b"-1", b"null", b'"', b"{", b"]", b",0"]
+
+
+def _byte_edit(rng, data: bytes) -> bytes:
+    """One bit flipped, a token inserted, a few bytes deleted, or a truncation."""
+    kind = rng.choice(["flip", "insert", "delete", "truncate"])
+    i = rng.randrange(len(data))
+    if kind == "flip":
+        return data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1:]
+    if kind == "insert":
+        return data[:i] + rng.choice(TOKENS) + data[i:]
+    if kind == "delete":
+        return data[:i] + data[i + rng.randrange(1, 8):]
+    return data[:i]
+
+
+def test_byte_mutants_exit_0_1_or_2_named(tmp_path, capsys):
+    rng = random.Random(11023)
+    base = to_json(build_scaled_cage(2, 3)).encode()
+    path, out_path = tmp_path / "m.json", tmp_path / "out.json"
+    codes = []
+    for t in range(BYTE_MUTANTS):
+        data = base
+        for _ in range(rng.randint(1, 3)):
+            data = _byte_edit(rng, data)
+        path.write_bytes(data)
+        runs = [
+            ["verify"], ["repair", "--node", str(rng.randrange(32))],
+            ["fill", "--chunks", str(rng.randrange(36, 156))],
+            ["expand", "--max-edges", "5000", "-o", str(out_path)],
+            ["export", "--format", rng.choice(["csv", "dot"]), "-o", str(out_path)],
+        ]
+        mutant_codes = [_run(capsys, argv[0], "-i", str(path), *argv[1:])[0] for argv in runs]
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert mutant_codes == [2] * 5, (t, data)
+        codes += mutant_codes
+    assert {0, 2} <= set(codes)
+
+
 LIBRARY_DESIGNS = [(2, 2), (3, 1), (2, 3)]
 LIBRARY_MUTANTS = 200
 
@@ -271,7 +316,6 @@ def _edit_slot(rng, sd):
 def _entry_points(rng, sd):
     node = rng.randrange(-1, sd.v + 1)
     u_tilde = rng.randrange(sd.u + 2)
-    h = rng.randrange(-1, 40)
     return [
         ("verify_design", lambda: verify_design(sd)),
         ("girth_at_least_six", lambda: girth_at_least_six(sd)),
@@ -282,7 +326,6 @@ def _entry_points(rng, sd):
         ("json", lambda: from_json(to_json(sd))),
         ("to_csv", lambda: to_csv(sd)),
         ("to_dot", lambda: to_dot(sd)),
-        ("b_h_subgraph", lambda: b_h_subgraph(sd, h)),
     ]
 
 

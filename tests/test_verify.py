@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -387,6 +388,16 @@ def test_out_of_range_ids_raise():
         blocks = ((0, bad), (1, 2))
         with pytest.raises(InvalidDesign, match=r"not an id in \[0, 3\)"):
             check_steiner_exact(BlockCollection(3, blocks))
+    # a huge id is refused before 1 << id is built, which takes 12.5 MB for 10**8 and
+    # more memory than there is for 2**40
+    for bad in (10**8, 2**40, 2**63, -1, -2**63):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidDesign, match=r"not an id in \[0, 3\)"):
+                check_steiner_exact(BlockCollection(3, ((0, 1, bad),)))
+            assert tracemalloc.get_traced_memory()[1] < 2**20, bad
+        finally:
+            tracemalloc.stop()
     # every one-slot edit to chunk id -1 or u; -1 used to wrap to chunk u-1
     sd = build_scaled_cage(2, 2)
     for g, row in enumerate(sd.nodes):
