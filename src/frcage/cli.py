@@ -21,7 +21,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import design as design_mod
 from . import verify as verify_mod
@@ -87,13 +86,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_expand(args) -> int:
     with open(args.input, "rb") as fh:
-        old = design_mod._parse(fh.read())
-    # refusals that read no row, the edge cap among them, come before the row checks
-    design_mod._require_expandable(old, args.max_edges)
-    design_mod._validate(old)
-    old = replace(old)  # drop the location index _validate cached: expand never reads it
-    new = design_mod.expand(old, max_edges=args.max_edges)
-    del old  # free the loaded design before to_json
+        new = design_mod.expand(design_mod._parse(fh.read()), max_edges=args.max_edges)
     _write(design_mod.to_json(new), args.output)
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 from .cage import (
     CONSTRUCTION,
@@ -21,7 +22,6 @@ from .cage import (
     _check_edge_cap,
     build_scaled_cage,
     chunks_per_iteration,
-    p_n,
 )
 from .errors import (
     InvalidDesign,
@@ -67,31 +67,26 @@ def _require_canonical(sd: StorageDesign) -> None:
                            f"construction={sd.construction!r}")
 
 
-def _require_expandable(old: StorageDesign, max_edges: int | None) -> None:
-    """expand's refusals that read no row, in order: provenance and completeness
-    (NotCanonical), then the edge cap for (q, n+1) (ResourceLimit)."""
-    _require_canonical(old)
-    if not old.is_complete:
-        raise NotCanonical("partially filled designs cannot be expanded")
-    _check_edge_cap(old.q, old.n + 1, max_edges)
-
-
 def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
     """Grow a canonical (q, n) design to (q, n+1).
 
     Every old node keeps its slots as a prefix and every old chunk id
-    is preserved; new chunk ids are appended only.  Only (q, n+1) is
-    built: `old` must equal its (q, n) prefix (the first p_{n+1}(q)
-    nodes, the first p_n(q) slots of each, same field metadata), or
-    NotCanonical is raised, after _require_expandable's refusals."""
-    _require_expandable(old, max_edges)
+    is preserved; new chunk ids are appended only.  Refusals, in order:
+    provenance and completeness (NotCanonical), the edge cap for
+    (q, n+1) (ResourceLimit), then, after (q, n+1) is built, a table
+    whose rows are not exactly the first p_n(q) slots of its first
+    p_{n+1}(q) nodes: InvalidDesign naming a malformed row or replica
+    count, else NotCanonical.  The header was checked against (q, n)
+    when the table was created."""
+    _require_canonical(old)
+    if not old.is_complete:
+        raise NotCanonical("partially filled designs cannot be expanded")
+    _check_edge_cap(old.q, old.n + 1, max_edges)
     new = build_scaled_cage(old.q, old.n + 1, max_edges=max_edges)
-    v, l = p_n(old.q, old.n + 1), p_n(old.q, old.n)
-    prefix = replace(
-        new, n=old.n, l=l, v=v, u=chunks_per_iteration(old.q, old.n),
-        nodes=tuple(row[:l] for row in new.nodes[:v]),
-    )
-    if prefix != old:
+    # == alone would take True or 1.0 for chunk 1
+    if (set(map(type, chain.from_iterable(old.nodes))) != {int}
+            or old.nodes != tuple(row[:old.l] for row in new.nodes[:old.v])):
+        _validate(old)  # the row checks run only to name why the table differs
         raise NotCanonical(
             f"design does not match the canonical (q={old.q}, n={old.n}) construction"
         )

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import random
 import stat
 import threading
 import time
@@ -15,6 +16,7 @@ from frcage import (
 )
 from frcage import cage, cli, design
 from frcage.cli import main
+from frcage.errors import InvalidDesign
 from conftest import GOLDEN_MOLS_Q3
 import helpers
 
@@ -88,12 +90,22 @@ def test_expand_cli(tmp_path, capsys):
     assert payload["header"]["n"] == 2 and payload["header"]["num_nodes"] == 15
 
 
-def test_expand_frees_the_loaded_index_before_it_builds(tmp_path):
-    # Loading caches the location index, which expand never reads.
+def test_good_expand_skips_the_row_checks(tmp_path, monkeypatch):
+    # A table equal to its canonical prefix, every slot an int, passes
+    # the row checks, so expand neither runs them nor builds the
+    # location index.  (13,1) runs the q + 1 = 14 group columns.
+    def boom(sd):
+        raise AssertionError("a good expand ran the row checks")
+
+    monkeypatch.setattr(design, "_validate", boom)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    for q, n in ((2, 6), (13, 1)):
+        old.write_text(to_json(build_scaled_cage(q, n)))
+        assert main(["expand", "-i", str(old), "-o", str(new)]) == 0
+        assert new.read_text() == to_json(build_scaled_cage(q, n + 1)), (q, n)
     # Traced peak of (2,6) -> (2,7) under pytest: 8.04 MiB while the
-    # index lived through the (2,7) build, 7.42 MiB once it is dropped
-    # (32.6 and 29.6 MiB on (2,7) -> (2,8)).
-    old, new = tmp_path / "d26.json", tmp_path / "d27.json"
+    # loaded index lived through the (2,7) build, 7.42 MiB once it was
+    # dropped, 7.30 MiB now that it is never built.
     old.write_text(to_json(build_scaled_cage(2, 6)))
     tracemalloc.start()
     try:
@@ -135,7 +147,8 @@ def _swap_row3(payload):
 
 def test_over_cap_expand_is_refused_before_the_rows(tmp_path, capsys, monkeypatch):
     # (2, 3) needs 465 edges; the refusal order is JSON, header,
-    # provenance, completeness, cap, rows, then the prefix compare
+    # provenance, completeness, cap, then, after the build, the prefix
+    # compare, whose refusal names a bad row before it says NotCanonical
     path = _q2n2_file(tmp_path, capsys, _swap_row3)
     good = _q2n2_file(tmp_path, capsys, name="good.json")
     code, out, err = run(capsys, "expand", "-i", str(path), "--max-edges", "400")
@@ -162,6 +175,56 @@ def test_over_cap_expand_checks_provenance_first(tmp_path, capsys):
     assert run(capsys, "fill", "-i", str(full), "--chunks", "30", "-o", str(part))[0] == 0
     code, out, err = run(capsys, "expand", "-i", str(part), "--max-edges", "400")
     assert (code, out) == (2, "") and err.startswith("NotCanonical: partially filled"), err
+
+
+def _slot_mutant(rng, rows, kind, u):
+    """Edit one slot of `rows` (JSON node lists) in place, or swap two
+    whole rows."""
+    if kind == "rows":
+        g, h = rng.sample(range(len(rows)), 2)
+        rows[g], rows[h] = rows[h], rows[g]
+        return
+    if kind == "true":  # True == 1, so put it where chunk 1 was
+        g = rng.choice([g for g, row in enumerate(rows) if 1 in row])
+        rows[g][rows[g].index(1)] = True
+        return
+    row = rng.choice(rows)
+    i = rng.randrange(len(row))
+    j = rng.choice([j for j in range(len(row)) if j != i])
+    if kind == "drop":
+        del row[i]
+    elif kind == "swap":
+        row[i], row[j] = row[j], row[i]
+    else:
+        row[i] = {"low": -1, "high": u, "float": float(row[i]), "str": str(row[i]),
+                  "list": [row[i]], "repeat": row[j]}[kind]
+
+
+SLOT_KINDS = ["low", "high", "true", "float", "str", "list", "repeat", "swap", "drop", "rows"]
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2)])
+def test_expand_refuses_as_from_json_names(tmp_path, capsys, q, n):
+    # Expand names a bad row or replica count as loading does, and calls
+    # a well-formed table that differs from the canonical one NotCanonical.
+    rng = random.Random(1700 + q)
+    base = to_json(build_scaled_cage(q, n))
+    path = tmp_path / "m.json"
+    errors = set()
+    for t in range(60):
+        payload = json.loads(base)
+        kind = SLOT_KINDS[t % len(SLOT_KINDS)]
+        _slot_mutant(rng, payload["nodes"], kind, payload["header"]["num_chunks"])
+        path.write_text(json.dumps(payload))
+        try:
+            design.from_json(path.read_bytes())
+            want = f"NotCanonical: design does not match the canonical (q={q}, n={n}) construction"
+        except InvalidDesign as exc:
+            want = f"InvalidDesign: {exc}"
+        errors.add(want.split(":")[0])
+        code, out, err = run(capsys, "expand", "-i", str(path))
+        assert (code, out, err) == (2, "", want + "\n"), (kind, payload["nodes"])
+    assert errors == {"InvalidDesign", "NotCanonical"}
 
 
 def test_failed_write_keeps_old_output(tmp_path, capsys, monkeypatch):

@@ -147,8 +147,16 @@ def _swap_first_rows(nodes):
     return (nodes[1], nodes[0]) + nodes[2:]
 
 
+def _set_slot(sd, i, value):
+    """sd with slot i of node 0 rewritten as `value`."""
+    row = sd.nodes[0]
+    return replace(sd, nodes=(row[:i] + (value,) + row[i + 1:],) + sd.nodes[1:])
+
+
 # Creating a table whose header does not match its (q, n) or its rows
-# raises InvalidDesign, before expand is called.
+# raises InvalidDesign, before expand is called.  A slot that only
+# compares equal to chunk 1, or an id past the last chunk, is named as
+# a malformed row.
 @pytest.mark.parametrize(
     "edit, error",
     [
@@ -160,8 +168,12 @@ def _swap_first_rows(nodes):
         (lambda sd: replace(sd, nodes=sd.nodes[:-1]), InvalidDesign),
         (lambda sd: replace(sd, nodes=sd.nodes[:-1], v=sd.v - 1), InvalidDesign),
         (lambda sd: replace(sd, u=sd.u + 1), InvalidDesign),
+        (lambda sd: _set_slot(sd, 1, True), InvalidDesign),
+        (lambda sd: _set_slot(sd, 1, 1.0), InvalidDesign),
+        (lambda sd: _set_slot(sd, sd.l - 1, sd.u), InvalidDesign),
     ],
-    ids=["swapped-row", "primitive", "field", "l", "truncated", "truncated-header", "u"],
+    ids=["swapped-row", "primitive", "field", "l", "truncated", "truncated-header", "u",
+         "true-slot", "float-slot", "id-u"],
 )
 def test_expand_rejects_non_prefix(edit, error):
     for q, n in ((2, 1), (3, 2)):
