@@ -40,7 +40,7 @@ from .errors import (
     ResourceLimit,
 )
 from .gf import Field, field_new, find_primitive_element
-from .mols import MolsSet, Square, generate_mols
+from .mols import generate_mols
 from .verify import (
     BoundPair,
     VerificationReport,

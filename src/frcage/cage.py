@@ -14,9 +14,11 @@ Construction is a layered expansion, iterated from a one-chunk seed:
   * q fresh layer-2 Y vertices per x_j, with ids 1 + j*q + m,
   * for each block {g_0 < ... < g_q} of the previous iteration
     (the location sets of its chunks), q**2 fresh layer-3 X vertices
-    x̂(m, i) linked to layer-2 vertex (g_0, m) and, for each later
-    block member g_{j+1}, to layer-2 vertex (g_{j+1}, L(m)[i][j]),
-    where L(m) are the orthogonal squares of GF(q).
+    x̂(s, i) in ascending (s, i) order, the rows of mols.group_columns.
+    x̂(s, i) links to layer-2 vertex (g_0, m), where e_m = e_s - e_i,
+    and for each j < q to layer-2 vertex (g_{j+1}, pos(e_i + e_m * e_j)),
+    where pos(a) is a's position in GF(q)'s element sequence; these
+    positions are the cells L(m)[i][j] of its orthogonal squares.
 
 Each iteration appends; (q, n-1) is a prefix of (q, n).  Every X
 vertex of iteration n-1 reappears in iteration n with the same
@@ -35,7 +37,7 @@ from operator import itemgetter
 
 from .errors import InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
 from .gf import Field, field_new
-from .mols import MolsSet, generate_mols
+from .mols import group_columns
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -206,14 +208,6 @@ def _check_edge_cap(q: int, n: int, max_edges: int | None) -> None:
             raise ResourceLimit(f"(q={q}, n={i}) needs {_decimal(edges)} edges, cap is {cap}")
 
 
-def _group_symbols(mols: MolsSet) -> list[tuple[int, ...]]:
-    """The q**2 lookups (m,) + L(m)[i] of one layer-3 group, in a fixed
-    order: by (column-1 symbol, column-0 symbol) of square m's row i."""
-    return sorted(
-        ((m,) + row for m, sq in enumerate(mols.squares) for row in sq.cells), key=itemgetter(2, 1)
-    )
-
-
 def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDesign:
     """The (q, n) table: k = q+1, l = p_n(q), v = p_{n+1}(q) nodes and
     u = p_{n+1}(q) * p_n(q) / (q+1) chunks.
@@ -234,11 +228,11 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
     l = p_n(q, n)
     v = 1 + q * l
     # Rows look up one shared int per id: kids[g] holds node g's children 1 + g*q + s,
-    # and block {g_0 < ... < g_q} gives chunks kids[g_0][m], kids[g_{j+1}][L(m)[i][j]].
+    # and block {g_0 < ... < g_q} gives one chunk per group row, reading kids[g_j] at column j.
     ids = list(range(v))
     kids = [ids[1 + g * q : 1 + g * q + q] for g in range(l)]
-    # cols[j] picks column j of every group symbol from block member g_j's children
-    cols = [itemgetter(*c) for c in zip(*_group_symbols(generate_mols(f)))]
+    # cols[j] picks column j of every group row from block member g_j's children
+    cols = [itemgetter(*c) for c in group_columns(f)]
     x = [(0, *kids[0])]  # n = 0: one chunk on the root and its q children
     driving = 0  # first chunk id whose block has no layer-3 group yet
     for i in range(1, n + 1):

@@ -123,15 +123,14 @@ def _cmd_mols(args) -> int:
     cap = _resolve_max_edges(None)
     if args.q**3 > cap:
         raise ResourceLimit(f"mols for q={args.q} needs {_decimal(args.q**3)} cells, cap is {cap}")
-    mset = generate_mols(field_new(args.q))
+    squares = generate_mols(field_new(args.q))
     if args.json:
-        payload = [[list(row) for row in sq.cells] for sq in mset.squares]
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        sys.stdout.write(json.dumps(squares, separators=(",", ":")) + "\n")
         return 0
     out = []
-    for m, sq in enumerate(mset.squares):
+    for m, sq in enumerate(squares):
         out.append(f"L({m}):")
-        out.extend(" ".join(str(s) for s in row) for row in sq.cells)
+        out.extend(" ".join(str(s) for s in row) for row in sq)
         out.append("")
     sys.stdout.write("\n".join(out))
     return 0

@@ -1,50 +1,51 @@
 """Families of q mutually-orthogonal q x q squares over GF(q).
 
-The family holds squares L(0), L(1), ..., L(q-1).  Square L(0) repeats
-the natural-order column in every column and is not Latin; squares
-L(1)..L(q-1) are Latin and pairwise orthogonal.  Cell symbols are
-positions in the field's element sequence, and every zeroth column
-reads 0, 1, ..., q-1 top to bottom.
+The family holds squares L(0), L(1), ..., L(q-1), where cell (i, j) of
+L(m) is the position of e_i + e_m * e_j in the field's element
+sequence.  Square L(0) repeats the natural-order column in every column
+and is not Latin; squares L(1)..L(q-1) are Latin and pairwise
+orthogonal.  Every zeroth column reads 0, 1, ..., q-1 top to bottom.
+
+`group_columns` is the one place the cell formula is evaluated: it
+gives the family as the q+1 columns that a layer-3 group of the cage
+reads.  `generate_mols` is a view of those columns as q grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .gf import Field
 
-__all__ = ["Square", "MolsSet", "generate_mols"]
+__all__ = ["group_columns", "generate_mols"]
 
 
-@dataclass(frozen=True)
-class Square:
-    """One q x q square; cells[i][j] is the symbol in row i, column j."""
+def group_columns(f: Field) -> list[tuple[int, ...]]:
+    """The q+1 columns of the q**2 rows (m, L(m)[i][0], ..., L(m)[i][q-1]).
 
-    cells: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class MolsSet:
-    """The family; squares[m] is L(m)."""
-
-    squares: tuple[Square, ...]
-
-
-def generate_mols(f: Field) -> MolsSet:
-    """Build the q-square family for GF(q).
-
-    Cell (i, j) of square m is the sequence index of e_i + e_m * e_j,
-    so column 0 (e_j = 0) reads 0, 1, ..., q-1.
+    Rows are ordered by (L(m)[i][1], i): row s*q + i has e_m = e_s - e_i,
+    so column 0 reads m, column 1 reads i, column 2 reads s, and column
+    j+1 reads the position of e_i + e_m * e_j = e_j * e_s + (1 - e_j) * e_i.
     """
-    e = f.elements
+    e, add, mul = f.elements, f.add, f.mul
     pos = [0] * f.q  # pos[a] is a's position in the element sequence
-    for i, a in enumerate(e):
-        pos[a] = i
-    # shifted[i][b] is the position of e_i + b, so a row is one lookup per cell
-    shifted = [tuple(map(pos.__getitem__, f.add[a])) for a in e]
-    squares = []
-    for em in e:
-        scaled = tuple(map(f.mul[em].__getitem__, e))  # e_m * e_j for every j
-        rows = tuple(tuple(map(row.__getitem__, scaled)) for row in shifted)
-        squares.append(Square(cells=rows))
-    return MolsSet(squares=tuple(squares))
+    for i, x in enumerate(e):
+        pos[x] = i
+    shifted = [tuple(map(pos.__getitem__, row)) for row in add]  # shifted[c][b] = pos(c + b)
+
+    def column(a: int, b: int) -> tuple[int, ...]:
+        # pos(a * e_s + b * e_i) at row s*q + i: shifted[a * e_s] read at b * e_i for each i
+        read = itemgetter(*map(mul[b].__getitem__, e))
+        rows = map(shifted.__getitem__, map(mul[a].__getitem__, e))
+        return tuple(chain.from_iterable(map(read, rows)))
+
+    # column 0 is e_s - e_i; column j+1 pairs e_j with 1 - e_j (the c with e_j + c = 1)
+    return [column(1, add[1].index(0))] + [column(a, add[a].index(1)) for a in e]
+
+
+def generate_mols(f: Field) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The family as q grids: generate_mols(f)[m][i][j] is L(m)[i][j]."""
+    q = f.q
+    rows = sorted(zip(*group_columns(f)))  # by (m, i)
+    return tuple(tuple(r[1:] for r in rows[m * q : m * q + q]) for m in range(q))

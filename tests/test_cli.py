@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, files, determinism."""
 
 import gc
+import hashlib
 import json
 import os
 import random
@@ -320,6 +321,18 @@ def test_bounds_cli(capsys):
     assert code == 2 and "InvalidDegrees" in err
 
 
+# sha256 of `mols` stdout (text, then --json).  generate_mols reads the
+# grids back from the cage's group columns, so these pin that view.
+MOLS_SHA256 = {
+    4: ("ac8419e575b273cb2d0c7c68c97c7c7c363c63a7c23538646529ad0016f6d67a",
+        "6995b7afc43ae04685a6884d8cab22d74ed929d7664fb36cd017197432df48b2"),
+    9: ("a56cd44616e3246e7b92faaa5568b469122ec91b0bb711d302f53d5aa24f12e4",
+        "68f4de976dd0bc09d361837f9ac6d3b3549f1406bfb413e2b038cc0d9194c3d3"),
+    16: ("a4c03f4e9257d4c6cdb6f72109da2a6d2b97bd034bae6a2bc99dd828465ae4a5",
+         "56b1e0e0f436b75c5990e081c8badfc7c326ec62dcfae592368dcb0dc26d5e80"),
+}
+
+
 def test_mols_cli(capsys):
     code, out, _ = run(capsys, "mols", "--q", "3")
     assert code == 0
@@ -329,6 +342,10 @@ def test_mols_cli(capsys):
     )
     code, out, _ = run(capsys, "mols", "--q", "3", "--json")
     assert json.loads(out) == GOLDEN_MOLS_Q3
+    for q, digests in MOLS_SHA256.items():
+        for extra, want in zip(([], ["--json"]), digests):
+            code, out, _ = run(capsys, "mols", "--q", str(q), *extra)
+            assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, (q, extra)
 
 
 def test_mols_is_capped_before_the_field_is_built(capsys, monkeypatch):

@@ -436,6 +436,11 @@ CONSTRUCT_SHA256 = {
     (16, 2): "4638a25251ec8a6361d3927ac274c98930dd89beb733cccef9779e1fe3b51ea0",
     (5, 2): "3d24aa22c93c110fefe5e490d027e2b0d543c1ddbd33a61fe824a316ba487c02",
     (8, 2): "f0efdcaf8fb36f82e1553dc4368491d78b30995678314ba83ddea851ae864f53",
+    (32, 1): "c222aad59603d09596cfafa80707c1d0805f24e5224533fc9015e1ce82a69d15",
+    # extension fields of odd characteristic, where e_s - e_i != e_s + e_i
+    (25, 1): "04f0794a2b137a5321d3299b51bbc75733035a1bf9d61c0c503458ececca356b",
+    (27, 1): "b4ee0d54c3925687ffe3711d9d4fabe57591b7a92fc22087979b09dc37f18a34",
+    (49, 1): "d1a3bac1ce9889bf71460e96aeb7d745612eda06fbcad059d5cc209b01189f88",
 }
 
 
