@@ -23,9 +23,9 @@ Construction is a layered expansion, iterated from a one-chunk seed:
 Each iteration appends; (q, n-1) is a prefix of (q, n).  Every X
 vertex of iteration n-1 reappears in iteration n with the same
 neighbours, so iteration n emits only the new ones: the layer-1
-vertices x_j for p_{n-1}(q) <= j < p_n(q), then the layer-3 groups of
-the blocks that are new since iteration n-1 (chunk ids >= u_{n-2}),
-in sorted block order.  Growing n never renumbers or moves anything.
+vertices x_j for p_{n-1}(q) <= j < p_n(q), then, in one pass, the
+layer-3 groups of the blocks new since iteration n-1 (chunk ids >=
+u_{n-2}) in sorted block order.  Growing n renumbers or moves nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from .errors import InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
@@ -231,18 +232,19 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
     # and block {g_0 < ... < g_q} gives one chunk per group row, reading kids[g_j] at column j.
     ids = list(range(v))
     kids = [ids[1 + g * q : 1 + g * q + q] for g in range(l)]
-    # cols[j] picks column j of every group row from block member g_j's children
+    # cols[j] picks column j of every group row from block member g_j's children.  Stream j
+    # below reads each block's g_j children at cols[j], and map(zip) makes one group per block.
     cols = [itemgetter(*c) for c in group_columns(f)]
     x = [(0, *kids[0])]  # n = 0: one chunk on the root and its q children
     driving = 0  # first chunk id whose block has no layer-3 group yet
     for i in range(1, n + 1):
-        u_prev = len(x)
+        blocks = sorted(x[driving:])
+        driving = len(x)
         x.extend((0, *kids[j]) for j in range(p_n(q, i - 1), p_n(q, i)))
-        for blk in sorted(x[driving:u_prev]):
-            # blk ascends and kids[g]'s ids lie above those of any smaller g, so each row ascends
-            x.extend(zip(*map(itemgetter.__call__, cols, map(kids.__getitem__, blk))))
-        driving = u_prev
-    del cols  # q**3 symbols: free them before the transpose needs room
+        # a block ascends and kids[g]'s ids lie above those of any smaller g, so each row ascends
+        members = (map(kids.__getitem__, map(itemgetter(j), blocks)) for j in range(q + 1))
+        x.extend(chain.from_iterable(map(zip, *map(map, cols, members))))
+    del blocks, cols  # q**3 symbols: free them before the transpose needs room
     return StorageDesign(
         q=q, n=n, k=q + 1, l=l, v=v, u=len(x), nodes=_transpose(x, v), field_meta=FieldMeta.of(f)
     )

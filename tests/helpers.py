@@ -6,6 +6,7 @@ behind a matching bug in its checker.
 """
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from frcage import FieldMeta, StorageDesign, field_new, repair_plan
@@ -240,6 +241,47 @@ class FieldOracle:
             for j, y in enumerate(self._digits(b)):
                 prod[i + j] += x * y
         return from_coeffs(poly_mod(prod, self.modulus, self.p), self.p)
+
+
+@lru_cache(maxsize=None)
+def reference_group(q: int) -> tuple[tuple[int, ...], ...]:
+    """A block's q**2 layer-3 rows (s, i), in ascending order, by
+    FieldOracle arithmetic; only the modulus and alpha come from the
+    library field.  Row (s, i) lists the child taken from each block
+    member in turn: m for g_0, where e_m = e_s - e_i, then
+    pos(e_i + e_m * e_j) for g_{j+1}."""
+    f = field_new(q)
+    oracle = FieldOracle(f.p, f.m, f.modulus)
+    e = [0, 1]
+    while len(e) < q:
+        e.append(oracle.mul(e[-1], f.alpha))
+    pos = {a: i for i, a in enumerate(e)}
+    group = []
+    for s in range(q):
+        for i in range(q):
+            m = next(m for m in range(q) if oracle.add(e[m], e[i]) == e[s])
+            group.append((m, *(pos[oracle.add(e[i], oracle.mul(e[m], ej))] for ej in e)))
+    return tuple(group)
+
+
+def reference_chunk_rows(q: int, n: int) -> list[tuple[int, ...]]:
+    """The (q, n) design's chunk rows (x_neighbors), built as the cage
+    module docstring states.  Child c of node g is node 1 + g*q + c.
+    Iteration t appends the layer-1 chunks first (chunk j on the root
+    and node j's children, for p_{t-1} <= j < p_t), then, for each
+    block that iteration t-1 added, in sorted block order, its
+    reference_group rows."""
+    p = [sum(q**t for t in range(i + 1)) for i in range(n + 1)]
+    rows = [tuple(range(q + 1))]  # iteration 0: the root and its q children
+    new_from = 0
+    for t in range(1, n + 1):
+        added = len(rows)
+        rows += [(0, *(1 + j * q + c for c in range(q))) for j in range(p[t - 1], p[t])]
+        for block in sorted(rows[new_from:added]):
+            for cells in reference_group(q):
+                rows.append(tuple(1 + g * q + c for g, c in zip(block, cells)))
+        new_from = added
+    return rows
 
 
 def bipartite_isomorphic(d1: StorageDesign, d2: StorageDesign) -> bool:

@@ -142,6 +142,17 @@ def test_growth_appends(q, n):
     assert all(0 not in ys for ys in big.x_neighbors[u + len(new_layer1) :])
 
 
+@pytest.mark.parametrize(
+    "q, n",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2),
+     (5, 2), (8, 1), (9, 1)],
+)
+def test_build_matches_reference_rows(q, n):
+    # the library reads its rows through group_columns and itemgetter
+    # streams; the oracle follows the cage docstring one row at a time
+    assert build_scaled_cage(q, n).x_neighbors == tuple(helpers.reference_chunk_rows(q, n))
+
+
 def test_determinism():
     a = build_scaled_cage(3, 2)
     b = build_scaled_cage(3, 2)
