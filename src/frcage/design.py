@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
+from operator import lt
 
 from .cage import (
     CONSTRUCTION,
@@ -105,8 +106,8 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     if not full.is_complete:
         raise InvalidDesign("partial_fill expects the full (q, n) design")
     u_prev = chunks_per_iteration(full.q, full.n - 1)
-    if not u_prev < u_tilde <= full.u:
-        raise OutOfRange(f"u_tilde must be in ({u_prev}, {full.u}], got {u_tilde}")
+    if type(u_tilde) is not int or not u_prev < u_tilde <= full.u:
+        raise OutOfRange(f"u_tilde must be an integer in ({u_prev}, {full.u}], got {u_tilde!r}")
     full.x_neighbors  # range-checks every id; a load has already built it
     nodes = tuple(
         tuple(c if c is not None and c < u_tilde else None for c in row) for row in full.nodes
@@ -127,8 +128,8 @@ def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
     and the failed node would share a chunk pair; a table that breaks
     this raises InvalidDesign.
     """
-    if not 0 <= failed < sd.v:
-        raise NodeOutOfRange(f"node id must be in [0, {sd.v}), got {failed}")
+    if type(failed) is not int or not 0 <= failed < sd.v:
+        raise NodeOutOfRange(f"node id must be an integer in [0, {sd.v}), got {failed!r}")
     locs = chunk_locations(sd)
     assignments, used = [], set()
     for chunk in sd.nodes[failed]:
@@ -249,9 +250,9 @@ def _validate(sd: StorageDesign) -> None:
         if not types <= {int, type(None)}:
             raise InvalidDesign(f"node {g} has a slot that is neither an integer nor null")
         present = [c for c in row if c is not None] if type(None) in types else row
-        if len(set(present)) != len(present):
-            raise InvalidDesign(f"node {g} repeats a chunk id")
-        if sorted(present) != list(present):
+        if not all(map(lt, present, present[1:])):  # strict ascent: no repeat, in order
+            if len(set(present)) != len(present):
+                raise InvalidDesign(f"node {g} repeats a chunk id")
             raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
     bad = _replica_defect(sd)
     if bad is not None:

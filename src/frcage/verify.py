@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 from .cage import BlockCollection, StorageDesign
 from .errors import InvalidDegrees, InvalidDesign
@@ -41,8 +42,8 @@ class BoundPair:
 
 def moore_bounds(k: int, l: int) -> BoundPair:
     """v >= 1 + l(k-1) and u >= l + l(l-1)(k-1)/k, exact."""
-    if k < 2 or l < k:
-        raise InvalidDegrees(f"need l >= k >= 2, got k={k}, l={l}")
+    if type(k) is not int or type(l) is not int or k < 2 or l < k:
+        raise InvalidDegrees(f"need integers l >= k >= 2, got k={k!r}, l={l!r}")
     return BoundPair(v_min=1 + l * (k - 1), u_min=l + Fraction(l * (l - 1) * (k - 1), k))
 
 
@@ -53,13 +54,14 @@ def _cover_walk(blocks, num_elements: int):
     the blocks holding a, so popcount - 1 summed over the elements seen
     is twice the distinct pairs covered: 2*pairs exactly when once holds."""
     masks = [0] * num_elements
-    for block in blocks:
+    for block in filter(None, blocks):  # a blank chunk's () holds no pair
         m = 0
         for a in block:
             m |= 1 << a
         for a in block:
             masks[a] |= m
-    pairs = sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+    sizes = list(map(len, blocks))
+    pairs = (sum(map(mul, sizes, sizes)) - sum(sizes)) // 2
     partners = sum(map(int.bit_count, masks)) - (num_elements - masks.count(0))
     return partners == 2 * pairs, pairs
 
@@ -146,26 +148,30 @@ def check_steiner_exact(bc: BlockCollection):
     """(True, None) when every unordered element pair lies in exactly
     one block; otherwise (False, (a, b, count)) for the first bad pair
     in sorted order.  An element that is not an id in [0, num_elements)
-    raises InvalidDesign."""
+    raises InvalidDesign.  Memory follows the largest id, not num_elements."""
     v = bc.num_elements
     try:
-        if max(chain.from_iterable(bc.blocks), default=-1) >= v:  # before 1 << id, in C
+        top = max(chain.from_iterable(bc.blocks), default=-1)
+        if top >= v:  # before 1 << id, in C
             raise IndexError
-        if _cover_walk(bc.blocks, v) == (True, v * (v - 1) // 2):
+        # When n < v, element n - 1 lies in no block, so pair (0, n - 1)
+        # is bad and the first bad pair lies below n.
+        n = min(v, max(top + 2, 2))
+        if _cover_walk(bc.blocks, n) == (True, v * (v - 1) // 2):
             return True, None
     except (IndexError, TypeError, ValueError) as exc:
         raise InvalidDesign(f"a block holds an element that is not an id in [0, {v})") from exc
     # the cover walk went through every element, so none can raise here
-    masks, dup, _ = _pair_scan(bc.blocks, v)
-    full = (1 << v) - 1
-    for a in range(v):
+    masks, dup, _ = _pair_scan(bc.blocks, n)
+    full = (1 << n) - 1
+    for a in range(n):
         bad = (dup[a] | ~masks[a]) & (full >> (a + 1) << (a + 1))
         if bad:
             b = (bad & -bad).bit_length() - 1
             return False, (a, b, sum(blk.count(a) * blk.count(b) for blk in bc.blocks))
     # Every pair of distinct elements is covered once; a block that
     # repeats an element still makes the collection no Steiner system.
-    for a in range(v):
+    for a in range(n):
         if masks[a] >> a & 1:
             return False, (a, a, sum(blk.count(a) * (blk.count(a) - 1) // 2 for blk in bc.blocks))
     raise AssertionError("cover walk and witness walk disagree")  # unreachable

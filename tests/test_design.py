@@ -277,6 +277,10 @@ def test_partial_fill_boundaries():
         partial_fill(full, 7)
     with pytest.raises(OutOfRange):
         partial_fill(full, 36)
+    # a float or bool is no chunk count, even where it equals one
+    for u_tilde in (30.5, 30.0, True):
+        with pytest.raises(OutOfRange, match="integer"):
+            partial_fill(full, u_tilde)
 
 
 @pytest.mark.parametrize("bad", [-1, 35])
@@ -377,6 +381,10 @@ def test_repair_plan_errors():
         repair_plan(sd, 7)
     with pytest.raises(NodeOutOfRange):
         repair_plan(sd, -1)
+    # True == 1 and 1.0 == 1, but neither is a node id
+    for failed in (True, False, 1.0, 1.5):
+        with pytest.raises(NodeOutOfRange, match="integer"):
+            repair_plan(sd, failed)
     with pytest.raises(TypeError):  # the ring successor is the only rule
         repair_plan(sd, 0, policy="lowest")
     toy = helpers.storage_from_rows([[0]], num_chunks=1, k=1)
@@ -499,7 +507,9 @@ def test_from_json_rejects_non_integers(edit):
 @pytest.mark.parametrize(
     "row, error",
     [([0, 1, 7], "out of range"), ([-1, 1, 2], "out of range"), ([0, 1, 1], "repeats"),
-     ([0, 2, 1], "node 0 does not list its chunk ids in ascending order")],
+     ([0, 2, 1], "node 0 does not list its chunk ids in ascending order"),
+     # a row that both repeats and descends is named for the repeat
+     ([2, 1, 1], "repeats"), ([None, 1, 1], "repeats"), ([1, None, 0], "ascending order")],
 )
 def test_from_json_rejects_bad_slots(row, error):
     payload = json.loads(to_json(build_scaled_cage(2, 1)))

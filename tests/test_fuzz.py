@@ -313,9 +313,13 @@ def _edit_slot(rng, sd):
     return replace(sd, nodes=tuple(map(tuple, rows)))
 
 
+# a float or bool node id or count is refused, even where it equals an int
+NUMBER_KINDS = (int, float, bool, lambda x: x + 0.5)
+
+
 def _entry_points(rng, sd):
-    node = rng.randrange(-1, sd.v + 1)
-    u_tilde = rng.randrange(sd.u + 2)
+    node = rng.choice(NUMBER_KINDS)(rng.randrange(-1, sd.v + 1))
+    u_tilde = rng.choice(NUMBER_KINDS)(rng.randrange(sd.u + 2))
     return [
         ("verify_design", lambda: verify_design(sd)),
         ("girth_at_least_six", lambda: girth_at_least_six(sd)),

@@ -50,6 +50,9 @@ def test_moore_bounds_rejects_bad_degrees():
         moore_bounds(4, 3)
     with pytest.raises(InvalidDegrees):
         moore_bounds(1, 5)
+    for k, l in ((3.0, 7.5), (3, 7.0), (3.0, 7), (True, 7)):
+        with pytest.raises(InvalidDegrees):
+            moore_bounds(k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +204,16 @@ def test_steiner_block_repeating_an_element():
     assert check_steiner_exact(BlockCollection(7, blocks)) == (False, (0, 0, 3))
 
 
+def test_steiner_memory_follows_the_largest_id():
+    # element 2 lies in no block, so the walk stops there, not at num_elements
+    tracemalloc.start()
+    try:
+        assert check_steiner_exact(BlockCollection(10**6, ((0, 1),))) == (False, (0, 2, 0))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def test_verify_design_wide_regular_cage_time():
     d = build_scaled_cage(64, 1)
     t0 = time.perf_counter()
@@ -323,6 +336,22 @@ def test_girth_and_steiner_witness_parity(q, n):
         bc = BlockCollection(d.v, blocks)
         assert check_steiner_exact(bc) == ref_steiner(bc), blocks
     assert failures > 100
+
+
+def test_steiner_witness_parity_above_the_largest_id():
+    rng = random.Random(2020)
+    fano = ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5))
+    cases = [(fano, v) for v in range(7, 12)]
+    for _ in range(2000):
+        span = rng.randrange(1, 9)
+        blocks = tuple(
+            tuple(rng.randrange(span) for _ in range(rng.randrange(5))) for _ in range(rng.randrange(12))
+        )
+        top = max((a for b in blocks for a in b), default=-1)
+        cases.append((blocks, top + rng.randrange(3, 9)))
+    for blocks, v in cases:
+        bc = BlockCollection(v, blocks)
+        assert check_steiner_exact(bc) == ref_steiner(bc), (blocks, v)
 
 
 def test_girth_witness_parity_on_repeated_elements():
