@@ -37,7 +37,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .errors import InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
-from .gf import Field, field_new
+from .gf import Field, _check_q, field_new
 from .mols import group_columns
 
 __all__ = [
@@ -182,6 +182,8 @@ class BlockCollection:
 
 def _resolve_max_edges(max_edges: int | None) -> int:
     if max_edges is not None:
+        if type(max_edges) is not int:
+            raise InvalidParameter(f"max_edges must be an integer or None, got {max_edges!r}")
         return max_edges
     env = os.environ.get(MAX_EDGES_ENV)
     if env is not None:
@@ -213,17 +215,20 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
     """The (q, n) table: k = q+1, l = p_n(q), v = p_{n+1}(q) nodes and
     u = p_{n+1}(q) * p_n(q) / (q+1) chunks.
 
-    Errors are checked in this order: InvalidParameter for n < 1,
-    NotPrimePower for q < 2, ResourceLimit when the result would
-    exceed the edge cap (argument, FRC_MAX_EDGES env var, or the
-    built-in default, in that precedence), then NotPrimePower for any
-    other q that is not a prime power.  The cap is checked in closed
-    form, so an over-cap q is refused before it is factored.
+    Errors are checked in this order: InvalidParameter for an n that
+    is not an int (bool included) or is < 1, NotPrimePower for such a q
+    or q < 2, InvalidParameter for a max_edges that is neither None nor
+    an int, ResourceLimit when the result would exceed the edge cap
+    (argument, FRC_MAX_EDGES env var, or the built-in default, in that
+    precedence), then NotPrimePower for any other q that is not a prime
+    power.  The cap is checked in closed form, so an over-cap q is
+    refused before it is factored.
     """
+    if type(n) is not int:
+        raise InvalidParameter(f"n must be an integer, got {n!r}")
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
-    if q < 2:
-        raise NotPrimePower(f"q must be >= 2, got {q}")
+    _check_q(q)
     _check_edge_cap(q, n, max_edges)
     f = _field(q)
     l = p_n(q, n)

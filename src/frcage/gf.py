@@ -35,10 +35,17 @@ __all__ = [
 ]
 
 
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, m) with q = p**m, or raise NotPrimePower."""
+def _check_q(q) -> None:
+    """NotPrimePower for a q that is not an int (bool included) or is < 2."""
+    if type(q) is not int:
+        raise NotPrimePower(f"q must be an integer, got {q!r}")
     if q < 2:
         raise NotPrimePower(f"q must be >= 2, got {q}")
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """Return (p, m) with q = p**m, or raise NotPrimePower."""
+    _check_q(q)
     p = 2
     while p * p <= q:
         if q % p == 0:

@@ -3,8 +3,9 @@
 One cover walk decides every pair check: each block's bitmask is OR-ed
 into a Python-int mask per element (u*k operations on v-bit ints, not
 u*C(k,2) pair lookups), and the masks' bit counts tell whether a pair
-repeats.  Only on a defect does the witness walk run, to name the first
-failure in a deterministic scan order.
+repeats.  Only on a defect does the one witness walk run, in
+itertools.combinations order: its first repeated pair names a 4-cycle
+or an overlap, and all its repeats name the first bad Steiner pair.
 """
 
 from __future__ import annotations
@@ -66,44 +67,33 @@ def _cover_walk(blocks, num_elements: int):
     return partners == 2 * pairs, pairs
 
 
-def _pair_scan(blocks, num_elements: int):
-    """The witness walk, run only once the cover walk found a defect:
-    one pass over `blocks`, elements in [0, num_elements).
+def _pair_walk(blocks, seen):
+    """The witness walk, run only once the cover walk found a defect.
 
-    Returns (masks, dup, first).  masks[a] has bit b for every b >= a
-    that shares a block with a (b == a only where a block repeats a);
-    dup[a] has bit b for every b > a whose pair lies in two blocks, or
-    twice in one (its bit a is not meaningful).  first is the index of
-    the first block holding a pair already seen, in an earlier block or
-    earlier in itself, else None.
+    Walks each sorted block's pairs (a, b), a <= b, in combinations
+    order, one row per element a.  For each row of block c whose pairs
+    were met before, yields (c, a, hits): hits has bit b for every such
+    pair, met in an earlier row (set in seen[a]) or met twice in this
+    row (b appears twice after a).  Each row then ORs its partners into
+    seen[a], so seen[a] ends with bit b for every b >= a sharing a block
+    with a (b == a only where a block repeats a).
     """
-    masks = [0] * num_elements
-    dup = [0] * num_elements
-    first = None
     for c, block in enumerate(blocks):
-        above = 0  # elements of this block already walked, all >= a
+        rows = []
+        later = twice = 0  # elements after a in sorted order, and those among them seen twice
+        prev = None
         for a in sorted(block, reverse=True):
-            m = masks[a]
-            if m & above:
-                dup[a] |= m & above
-                if first is None:
-                    first = c
-            masks[a] = m | above
-            above |= 1 << a
-        if above.bit_count() != len(block):
-            # A repeated element r repeats its pair with every other
-            # element; the walk caught (r, b) for b > r, this adds (a, r)
-            # for a < r.  Two copies of r alone repeat nothing.
-            if first is None and len(block) > 2:
-                first = c
-            s = sorted(block)
-            twice = 0
-            for x, y in zip(s, s[1:]):
-                if x == y:
-                    twice |= 1 << x
-            for a in s:
-                dup[a] |= twice >> (a + 1) << (a + 1)
-    return masks, dup, first
+            rows.append((a, later, twice))
+            if a == prev:
+                twice |= 1 << a
+            later |= 1 << a
+            prev = a
+        while rows:  # ascending; pop, so each suffix mask is held once, in seen
+            a, later, twice = rows.pop()
+            hits = seen[a] & later | twice
+            if hits:
+                yield c, a, hits
+            seen[a] |= later
 
 
 def _first_repeat(blocks, num_elements: int):
@@ -111,24 +101,16 @@ def _first_repeat(blocks, num_elements: int):
     in order and each sorted block's pairs a <= b in combinations
     order: c is the block where (a, b) repeats and c0 <= c the first
     block holding it.  None when no pair repeats."""
-    c = None if _cover_walk(blocks, num_elements)[0] else _pair_scan(blocks, num_elements)[2]
-    if c is None:
+    if _cover_walk(blocks, num_elements)[0]:
         return None
-    # Failure path only: replay blocks 0..c restricted to block c's
-    # elements, with one partner bitset per element.
-    seen = dict.fromkeys(blocks[c], 0)
-    for j, block in enumerate(blocks[:c + 1]):
-        kept = sorted(e for e in block if e in seen)
-        for i, a in enumerate(kept):
-            for b in kept[i + 1:]:
-                if seen[a] >> b & 1:
-                    c0 = next(
-                        h for h, other in enumerate(blocks)
-                        if (other.count(a) > 1 if a == b else a in other and b in other)
-                    )
-                    return c0, a, j, b
-                seen[a] |= 1 << b
-    raise AssertionError("witness walk and replay disagree")  # unreachable
+    for c, a, hits in _pair_walk(blocks, [0] * num_elements):
+        b = (hits & -hits).bit_length() - 1
+        c0 = next(
+            h for h, other in enumerate(blocks)
+            if (other.count(a) > 1 if a == b else a in other and b in other)
+        )
+        return c0, a, c, b
+    return None
 
 
 def girth_at_least_six(d: StorageDesign):
@@ -162,7 +144,9 @@ def check_steiner_exact(bc: BlockCollection):
     except (IndexError, TypeError, ValueError) as exc:
         raise InvalidDesign(f"a block holds an element that is not an id in [0, {v})") from exc
     # the cover walk went through every element, so none can raise here
-    masks, dup, _ = _pair_scan(bc.blocks, n)
+    masks, dup = [0] * n, [0] * n
+    for _, a, hits in _pair_walk(bc.blocks, masks):
+        dup[a] |= hits
     full = (1 << n) - 1
     for a in range(n):
         bad = (dup[a] | ~masks[a]) & (full >> (a + 1) << (a + 1))

@@ -7,11 +7,13 @@ import pytest
 from frcage import (
     BlockCollection,
     InvalidDesign,
+    InvalidParameter,
     NotPrimePower,
     ResourceLimit,
     build_scaled_cage,
     check_steiner_exact,
     chunks_per_iteration,
+    expand,
     from_json,
     p_n,
     partial_fill,
@@ -79,6 +81,22 @@ def test_scaled_cage_q3_n2():
 def test_scaled_cage_rejects_bad_n():
     with pytest.raises(ValueError):
         build_scaled_cage(2, 0)
+
+
+def test_build_refuses_non_int_arguments():
+    # True would write "n": true, which from_json refuses; 1.0 used to raise a bare TypeError
+    for n in (True, False, 1.0, 2.5, "1", None):
+        with pytest.raises(InvalidParameter, match="n must be an integer"):
+            build_scaled_cage(2, n)
+    for q in (True, 2.0, 4.0, "4", None):
+        with pytest.raises(NotPrimePower, match="q must be an integer"):
+            build_scaled_cage(q, 1)
+    for cap in ("x", 1e9, True, 10.0):
+        with pytest.raises(InvalidParameter, match="max_edges must be an integer or None"):
+            build_scaled_cage(2, 1, max_edges=cap)
+    # expand resolves the cap the same way
+    with pytest.raises(InvalidParameter, match="max_edges"):
+        expand(build_scaled_cage(2, 1), max_edges="x")
 
 
 def test_resource_limit():

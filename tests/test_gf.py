@@ -5,6 +5,7 @@ import random
 import pytest
 
 from frcage import NotPrimePower, field_new, find_primitive_element
+from frcage.gf import factor_prime_power
 import helpers
 
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -49,6 +50,14 @@ def test_field_new_gf4():
 def test_field_new_rejects_non_prime_powers(bad):
     with pytest.raises(NotPrimePower):
         field_new(bad)
+
+
+@pytest.mark.parametrize("bad", [True, 4.0, 2.0, "4", None])
+def test_field_new_rejects_non_int_q(bad):
+    with pytest.raises(NotPrimePower, match="q must be an integer"):
+        field_new(bad)
+    with pytest.raises(NotPrimePower, match="q must be an integer"):
+        factor_prime_power(bad)
 
 
 def test_modulus_is_irreducible_by_trial_division():

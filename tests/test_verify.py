@@ -24,7 +24,7 @@ from frcage import (
     repair_plan,
     verify_design,
 )
-from frcage.verify import _cover_walk, _pair_scan
+from frcage.verify import _cover_walk, _pair_walk
 from conftest import GOLDEN_S237, GOLDEN_S239
 import helpers
 
@@ -363,10 +363,36 @@ def test_girth_witness_parity_on_repeated_elements():
         ([[0, 1], [2, 2], [0, 1]], 3),
         ([[2, 2], [0, 1, 2], [1, 2, 2]], 3),
         ([[0, 1], [0, 0], [0, 0]], 2),
+        # a single descending pass over the rows would name (0, 2) here
+        ([[0, 3], [0, 0, 2, 3]], 4),
     ]
     for blocks, v in cases:
         d = helpers.incidence_from_blocks(blocks, v)
         assert girth_at_least_six(d) == ref_girth(d), blocks
+
+
+def test_witness_parity_on_random_repeats():
+    rng = random.Random(2121)
+    repeats = 0
+    for _ in range(2000):
+        blocks = [[rng.randrange(8) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(1, 6))]
+        repeats += any(len(set(b)) != len(b) for b in blocks)
+        d = helpers.incidence_from_blocks(blocks, 8)
+        assert girth_at_least_six(d) == ref_girth(d), blocks
+        bc = BlockCollection(8, tuple(map(tuple, blocks)))
+        assert check_steiner_exact(bc) == ref_steiner(bc), blocks
+    assert repeats > 1000
+
+
+def test_steiner_witness_memory_on_a_long_block():
+    # each row's suffix mask is held once: in seen, not also in the row list
+    block = tuple(range(20000)) + (0,)
+    tracemalloc.start()
+    try:
+        assert check_steiner_exact(BlockCollection(20000, (block,))) == (False, (0, 1, 2))
+        assert tracemalloc.get_traced_memory()[1] < 80 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("q,n", PARITY_DESIGNS)
@@ -446,7 +472,8 @@ def assert_cover_walk_decides(blocks, v):
     repeated pair and no block repeats an element (so a lone [2, 2],
     which repeats no pair, still goes to the witness walk)."""
     once, pairs = _cover_walk(blocks, v)
-    masks, _, first = _pair_scan(blocks, v)
+    masks = [0] * v
+    first = next(_pair_walk(blocks, masks), None)  # runs to the end when no pair repeats
     assert once == (first is None and not any(m >> a & 1 for a, m in enumerate(masks))), blocks
     assert pairs == sum(len(b) * (len(b) - 1) // 2 for b in blocks)
     return once, pairs
