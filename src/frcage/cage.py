@@ -31,10 +31,10 @@ u_{n-2}) in sorted block order.  Growing n renumbers or moves nothing.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .errors import InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
 from .gf import Field, _check_q, field_new
@@ -60,7 +60,10 @@ MAX_EDGES_ENV = "FRC_MAX_EDGES"
 
 
 def p_n(q: int, n: int) -> int:
-    """q**n + q**(n-1) + ... + q + 1, with p_0 = 1."""
+    """q**n + q**(n-1) + ... + q + 1, with p_0 = 1.  A q or n that is
+    not an int (bool included) raises InvalidParameter."""
+    if type(q) is not int or type(n) is not int:
+        raise InvalidParameter(f"q and n must be integers, got q={q!r}, n={n!r}")
     if q < 2:
         raise InvalidParameter(f"q must be >= 2, got {q}")
     if n < 0:
@@ -70,15 +73,11 @@ def p_n(q: int, n: int) -> int:
 
 def chunks_per_iteration(q: int, n: int) -> int:
     """Total chunk count u at iteration n (u = 1 at n = 0)."""
-    return p_n(q, n + 1) * p_n(q, n) // (q + 1)
+    return p_n(q, n) * p_n(q, n + 1) // (q + 1)
 
 
-@dataclass(frozen=True)
-class FieldMeta:
-    p: int
-    m: int
-    modulus: tuple[int, ...]
-    primitive: int
+class FieldMeta(namedtuple("FieldMeta", "p m modulus primitive")):
+    __slots__ = ()
 
     @classmethod
     def of(cls, f: Field) -> "FieldMeta":
@@ -93,30 +92,25 @@ def _field(q: int) -> Field:
     return field_new(q)
 
 
-@dataclass(frozen=True)
-class StorageDesign:
+class StorageDesign(namedtuple(
+    "StorageDesign", "q n k l v u nodes field_meta version construction",
+    defaults=(SCHEMA_VERSION, CONSTRUCTION),
+)):
     """A design: header plus node rows.  nodes[g] lists the chunk ids of
     node g; None marks an empty slot left by partial fill.
 
-    Creating one (also by dataclasses.replace) checks the header in
+    A tuple subclass: fields q, n, k, l, v, u, nodes, field_meta,
+    version and construction, in that order; no attribute can be
+    assigned.  Creating one (also by _replace) checks the header in
     O(1) and raises InvalidDesign: there must be v rows, a canonical
     header must match (q, n) (see _check_header), and any other must
     have 0 <= u <= v * l.  from_json checks the rows, and building
     x_neighbors checks that every chunk id lies in [0, u).
+    is_complete, rows_ascend and x_neighbors are computed on first use
+    and kept in the instance __dict__, which _replace does not copy.
     """
 
-    q: int
-    n: int
-    k: int
-    l: int
-    v: int
-    u: int
-    nodes: tuple[tuple[int | None, ...], ...]
-    field_meta: FieldMeta
-    version: str = SCHEMA_VERSION
-    construction: str = CONSTRUCTION
-
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if len(self.nodes) != self.v:
             raise InvalidDesign(f"expected {self.v} nodes, found {len(self.nodes)}")
         if self.construction == CONSTRUCTION:
@@ -124,9 +118,22 @@ class StorageDesign:
         elif not 0 <= self.u <= self.v * self.l:  # bounds x_neighbors
             raise InvalidDesign(f"num_chunks={self.u} is outside [0, num_nodes * l]")
 
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks the header too
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):  # cached values are written to __dict__ directly
+        raise AttributeError(f"cannot assign to {name!r}: a StorageDesign is frozen")
+
     @cached_property
     def is_complete(self) -> bool:
         return not any(None in row for row in self.nodes)
+
+    @cached_property
+    def rows_ascend(self) -> bool:
+        """Each row's present chunk ids ascend strictly, so no row repeats one."""
+        present = ([c for c in r if c is not None] if None in r else r for r in self.nodes)
+        return all(all(map(lt, r, r[1:])) for r in present)
 
     @cached_property
     def x_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -161,7 +168,7 @@ def _check_header(sd: StorageDesign) -> None:
     q, n, v = sd.q, sd.n, sd.v
     # p_{n+1}(q) exceeds both q and 2**(n+1), so these bounds keep p_n
     # and GF(q) small for any header that could match the row count.
-    if not (2 <= q < v and 1 <= n < v.bit_length()):
+    if not (type(q) is int is type(n) and 2 <= q < v and 1 <= n < v.bit_length()):
         raise InvalidDesign(f"(q={q}, n={n}) cannot describe {v} nodes")
     want = (q + 1, p_n(q, n), p_n(q, n + 1), chunks_per_iteration(q, n))
     if (sd.k, sd.l, v, sd.u) != want:
@@ -174,10 +181,7 @@ def _check_header(sd: StorageDesign) -> None:
         raise InvalidDesign(f"field metadata does not match GF({q})")
 
 
-@dataclass(frozen=True)
-class BlockCollection:
-    num_elements: int
-    blocks: tuple[tuple[int, ...], ...]
+BlockCollection = namedtuple("BlockCollection", "num_elements blocks")
 
 
 def _resolve_max_edges(max_edges: int | None) -> int:

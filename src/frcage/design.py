@@ -11,7 +11,7 @@ first p_{n-1}(q) slots of the first p_n(q) nodes of the (q, n) table.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
 from itertools import chain
 from operator import lt
 
@@ -46,12 +46,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RepairPlan:
+class RepairPlan(namedtuple("RepairPlan", "failed_node assignments")):
     """One helper per lost chunk; helpers are pairwise distinct."""
 
-    failed_node: int
-    assignments: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def chunk_locations(sd: StorageDesign) -> tuple[tuple[int, ...], ...]:
@@ -112,7 +110,7 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     nodes = tuple(
         tuple(c if c is not None and c < u_tilde else None for c in row) for row in full.nodes
     )
-    return replace(full, nodes=nodes)
+    return full._replace(nodes=nodes)
 
 
 def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
@@ -165,10 +163,11 @@ def check_partial_invariants(sd: StorageDesign):
     a < b share chunks c0 < c ("overlap": (a, b, c0, c)), or the first
     blank chunk lies below a present one ("blank_gap": (blank, present)).
     detail is empty when ok; a chunk id out of range raises InvalidDesign."""
-    for g, row in enumerate(sd.nodes):
-        present = [c for c in row if c is not None]
-        if len(set(present)) != len(present):
-            return False, {"duplicate_slot": (g,)}
+    if not sd.rows_ascend:  # a row that ascends strictly repeats no chunk
+        for g, row in enumerate(sd.nodes):
+            present = [c for c in row if c is not None]
+            if len(set(present)) != len(present):
+                return False, {"duplicate_slot": (g,)}
     bad = _replica_defect(sd)
     if bad is not None:
         return False, {"replicas": bad}
@@ -196,7 +195,7 @@ def _int(x):
 
 
 # JSON header key -> (StorageDesign field, parser); "field" holds
-# asdict(field_meta) next to them.
+# field_meta._asdict() next to them.
 _HEADER = {
     "version": ("version", str), "construction": ("construction", str),
     "q": ("q", _int), "n": ("n", _int), "k": ("k", _int), "l": ("l", _int),
@@ -207,7 +206,7 @@ _HEADER = {
 def to_json(sd: StorageDesign) -> str:
     """Canonical JSON: header plus node rows, empty slots as null."""
     header = {key: getattr(sd, name) for key, (name, _) in _HEADER.items()}
-    header["field"] = asdict(sd.field_meta)
+    header["field"] = sd.field_meta._asdict()
     payload = {"header": header, "nodes": sd.nodes}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -241,8 +240,9 @@ def _parse(text: str | bytes) -> StorageDesign:
 
 
 def _validate(sd: StorageDesign) -> None:
-    """from_json's second stage, the row checks; chunk ids are
-    range-checked as _replica_defect builds x_neighbors."""
+    """from_json's second stage, the row checks, which record
+    sd.rows_ascend; chunk ids are range-checked as _replica_defect
+    builds x_neighbors."""
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
@@ -254,6 +254,7 @@ def _validate(sd: StorageDesign) -> None:
             if len(set(present)) != len(present):
                 raise InvalidDesign(f"node {g} repeats a chunk id")
             raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
+    sd.__dict__["rows_ascend"] = True
     bad = _replica_defect(sd)
     if bad is not None:
         raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")

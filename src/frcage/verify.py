@@ -11,8 +11,7 @@ or an overlap, and all its repeats name the first bad Steiner pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 from itertools import chain
 from operator import mul
 
@@ -29,12 +28,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundPair:
-    """Minimum vertex counts for a girth-6 biregular bipartite graph."""
+class BoundPair(namedtuple("BoundPair", "v_min u_min")):
+    """Minimum vertex counts for a girth-6 biregular bipartite graph;
+    u_min is a fractions.Fraction."""
 
-    v_min: int
-    u_min: Fraction
+    __slots__ = ()
 
     @property
     def u_min_ceil(self) -> int:
@@ -43,6 +41,8 @@ class BoundPair:
 
 def moore_bounds(k: int, l: int) -> BoundPair:
     """v >= 1 + l(k-1) and u >= l + l(l-1)(k-1)/k, exact."""
+    from fractions import Fraction  # here, so importing frcage skips fractions and decimal
+
     if type(k) is not int or type(l) is not int or k < 2 or l < k:
         raise InvalidDegrees(f"need integers l >= k >= 2, got k={k!r}, l={l!r}")
     return BoundPair(v_min=1 + l * (k - 1), u_min=l + Fraction(l * (l - 1) * (k - 1), k))
@@ -161,13 +161,10 @@ def check_steiner_exact(bc: BlockCollection):
     raise AssertionError("cover walk and witness walk disagree")  # unreachable
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    girth_ok: bool
-    degrees_ok: bool
-    steiner_exact: bool
-    bounds_tight: bool
-    witnesses: dict = field(default_factory=dict)
+class VerificationReport(namedtuple(
+    "VerificationReport", "girth_ok degrees_ok steiner_exact bounds_tight witnesses"
+)):
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -193,8 +190,10 @@ def verify_design(d: StorageDesign) -> VerificationReport:
     witnesses: dict = {}
 
     degrees_ok = True
-    # holders repeat a node exactly where its row repeats the chunk; the loop finds the witness
-    if set(map(len, d.x_neighbors)) != {d.k} or any(len(set(r)) != len(r) for r in d.nodes):
+    # holders repeat a node exactly where its row repeats the chunk, and a row that ascends
+    # strictly (from_json checks each loaded row) repeats none; the loop finds the witness
+    if set(map(len, d.x_neighbors)) != {d.k} or not d.rows_ascend and any(
+            len(set(r)) != len(r) for r in d.nodes):
         for c, ys in enumerate(d.x_neighbors):
             if len(ys) != d.k or len(set(ys)) != d.k:
                 degrees_ok = False
@@ -215,17 +214,9 @@ def verify_design(d: StorageDesign) -> VerificationReport:
     if w is not None:
         witnesses["pair"] = w
 
-    bounds = moore_bounds(d.k, d.l) if d.l >= d.k >= 2 else None
-    bounds_tight = (
-        bounds is not None and d.v == bounds.v_min and Fraction(d.u) == bounds.u_min
-    )
+    k, l = d.k, d.l  # v = v_min and u = u_min of moore_bounds, the latter times k in integers
+    bounds_tight = l >= k >= 2 and d.v == 1 + l * (k - 1) and k * (d.u - l) == l * (l - 1) * (k - 1)
     if not bounds_tight:
         witnesses["bounds"] = (d.v, d.u)
 
-    return VerificationReport(
-        girth_ok=girth_ok,
-        degrees_ok=degrees_ok,
-        steiner_exact=steiner_ok,
-        bounds_tight=bounds_tight,
-        witnesses=witnesses,
-    )
+    return VerificationReport(girth_ok, degrees_ok, steiner_ok, bounds_tight, witnesses)

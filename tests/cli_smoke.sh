@@ -40,6 +40,12 @@ expect 2 cli construct --q 6 --n 1
 expect 0 cli mols --q 3
 expect 2 cli mols --q 6
 expect 0 cli bounds --k 3 --l 7
+# a bound that is not an integer prints as a fraction, next to its ceiling
+cli bounds --k 3 --l 5 > "$d/bounds"
+grep -q '"u_min": "55/3"' "$d/bounds"
+grep -q '"u_min_ceil": 19' "$d/bounds"
+# every command is a fresh process: start-up loads neither dataclasses nor fractions
+python -c 'import sys; base = set(sys.modules); import frcage.cli; sys.exit(", ".join({"dataclasses", "fractions"} & (set(sys.modules) - base)) or None)'
 # inputs whose derived counts pass Python's 4,300-digit int-to-str limit
 n1500=$(python -c 'print("9" * 1500)')
 n2200=$(python -c 'print("9" * 2200)')

@@ -12,6 +12,11 @@ from itertools import combinations, permutations
 from frcage import FieldMeta, StorageDesign, field_new, repair_plan
 
 
+def replace(record, **changes):
+    """A copy of a frcage record (a namedtuple) with some fields changed."""
+    return record._replace(**changes)
+
+
 def naive_no_four_cycles(d: StorageDesign) -> bool:
     """Literal enumeration over all (x, y, x', y') quadruples.
     Quadratic in both sides; keep to designs with |X| <= 40."""

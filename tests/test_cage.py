@@ -99,6 +99,17 @@ def test_build_refuses_non_int_arguments():
         expand(build_scaled_cage(2, 1), max_edges="x")
 
 
+def test_p_n_refuses_non_int_arguments():
+    # a float equal to an int would give a float count; True would pass as 1
+    for q, n, named in ((2.0, 2, "q=2.0"), (2, 1.5, "n=1.5"), (True, 2, "q=True"),
+                        (2, None, "n=None")):
+        with pytest.raises(InvalidParameter, match=named):
+            p_n(q, n)
+    for q, n, named in ((2, 1.0, "n=1.0"), (2.0, 1, "q=2.0"), (2, True, "n=True")):
+        with pytest.raises(InvalidParameter, match=named):
+            chunks_per_iteration(q, n)
+
+
 def test_resource_limit():
     with pytest.raises(ResourceLimit):
         build_scaled_cage(2, 2, max_edges=50)

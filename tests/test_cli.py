@@ -312,6 +312,14 @@ def test_fill_out_of_range(tmp_path, capsys):
     assert "OutOfRange" in err
 
 
+# sha256 of `bounds` stdout; (3, 5) has the bound u_min = 55/3, not an integer
+BOUNDS_SHA256 = {
+    (3, 5): "32cb6cab329592f959d491b309cfe326465d95e6d0503a8e916f8bb36565dfbf",
+    (3, 7): "bdd3648260dd569d41f27c4079b74e9d1202d5269e8664936ef2379ecebe1c73",
+    (2, 2): "985af9a1f61c9d4f2e19cf718fead5e54970bc2c3fb99904a5ce37291816f9e7",
+}
+
+
 def test_bounds_cli(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "3", "--l", "7")
     assert code == 0
@@ -319,6 +327,11 @@ def test_bounds_cli(capsys):
     assert payload["v_min"] == 15 and payload["u_min"] == "35"
     code, _, err = run(capsys, "bounds", "--k", "4", "--l", "3")
     assert code == 2 and "InvalidDegrees" in err
+    code, out, _ = run(capsys, "bounds", "--k", "3", "--l", "5")
+    assert json.loads(out)["u_min"] == "55/3" and json.loads(out)["u_min_ceil"] == 19
+    for (k, l), want in BOUNDS_SHA256.items():
+        code, out, _ = run(capsys, "bounds", "--k", str(k), "--l", str(l))
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, (k, l)
 
 
 # sha256 of `mols` stdout (text, then --json).  generate_mols reads the

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -33,6 +32,7 @@ from frcage import (
 )
 from conftest import GOLDEN_S237, GOLDEN_S2315_T, GOLDEN_S239
 import helpers
+from helpers import replace
 
 
 def test_table_q2_n2_golden():
@@ -75,6 +75,23 @@ def test_in_memory_header_is_checked():
     assert time.perf_counter() - t0 < 1.0
     with pytest.raises(InvalidDesign, match="expected 7 nodes"):
         StorageDesign(q=2, n=1, k=3, l=3, v=7, u=7, nodes=sd.nodes[1:], field_meta=sd.field_meta)
+    # n = 1.0 or True equals 1, but to_json would write it as 1.0 or true
+    for changes in ({"q": 2.0}, {"n": 1.0}, {"n": True}):
+        with pytest.raises(InvalidDesign, match="cannot describe"):
+            replace(sd, **changes)
+
+
+def test_records_are_tuples():
+    sd = build_scaled_cage(2, 1)
+    assert tuple(sd) == (2, 1, 3, 3, 7, 7, sd.nodes, sd.field_meta, "1", sd.construction)
+    assert sd.field_meta == (2, 1, (0, 1), 1) and sd.field_meta._asdict()["primitive"] == 1
+    assert repair_plan(sd, 0) == (0, ((0, 1), (1, 3), (2, 5)))
+    # _replace builds a new table: nothing computed on the old one carries over
+    sd.x_neighbors
+    assert "x_neighbors" not in vars(replace(sd, construction="hand-built"))
+    for name in ("q", "x_neighbors", "rows_ascend", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sd, name, ())
 
 
 def test_slot_count_identity():

@@ -12,14 +12,13 @@ reaches the decoder and the JSON parser: it runs through `verify`,
 `repair`, `fill`, `expand` and `export` under the same exit rules.
 
 Each library mutant is a table with one header field or one slot
-edited by dataclasses.replace.  Every public function that takes a
+edited by _replace.  Every public function that takes a
 table must return or raise a FrcageError, within a second.
 """
 
 import json
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -43,6 +42,7 @@ from frcage.cage import CONSTRUCTION
 from frcage.cli import main
 from frcage.errors import FrcageError
 import helpers
+from helpers import replace
 
 DESIGNS = [(2, 3), (3, 2), (4, 1)]
 MUTANTS = 120

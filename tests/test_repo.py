@@ -1,5 +1,6 @@
-"""Checks on the repository as a whole: the CLI smoke script and the
-Python 3.10 floor that pyproject.toml declares."""
+"""Checks on the repository as a whole: the CLI smoke script, the
+modules the CLI loads at start-up, and the Python 3.10 floor that
+pyproject.toml declares."""
 
 import ast
 import os
@@ -21,6 +22,23 @@ def test_cli_smoke_script(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+# the standard-library modules the CLI needs anyway
+START_UP_BASE = "json, argparse, collections, functools, itertools, operator, os, gc"
+
+
+def test_cli_start_up_imports():
+    # every command is a fresh process, so each module frcage.cli loads is paid on every run;
+    # subtracting the base keeps this independent of what the Python version preloads
+    code = (f"import sys, {START_UP_BASE}; base = set(sys.modules); import frcage.cli; "
+            "print(*sorted(set(sys.modules) - base))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert "frcage.cli" in loaded
+    assert not loaded & {"dataclasses", "fractions", "decimal", "inspect"}, loaded
 
 
 PY_FILES = sorted(

@@ -3,7 +3,6 @@
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +12,7 @@ from frcage import (
     BlockCollection,
     InvalidDegrees,
     InvalidDesign,
+    StorageDesign,
     build_scaled_cage,
     check_partial_invariants,
     check_steiner_exact,
@@ -27,6 +27,7 @@ from frcage import (
 from frcage.verify import _cover_walk, _pair_walk
 from conftest import GOLDEN_S237, GOLDEN_S239
 import helpers
+from helpers import replace
 
 
 def test_moore_bounds_values():
@@ -53,6 +54,26 @@ def test_moore_bounds_rejects_bad_degrees():
     for k, l in ((3.0, 7.5), (3, 7.0), (3.0, 7), (True, 7)):
         with pytest.raises(InvalidDegrees):
             moore_bounds(k, l)
+
+
+def test_bounds_tight_matches_a_fraction_oracle():
+    # verify_design decides bounds_tight in integers; the oracle compares
+    # Fractions, with v and u on the bound and one off either side
+    tight = 0
+    for k in range(1, 6):
+        for l in range(9):
+            v_min = 1 + l * (k - 1)
+            u_min = l + Fraction(l * (l - 1) * (k - 1), k)
+            for v in range(max(v_min - 1, 1), v_min + 2):
+                for u in range(max(int(u_min) - 1, 0), min(int(u_min) + 3, v * l + 1)):
+                    sd = StorageDesign(q=0, n=0, k=k, l=l, v=v, u=u, nodes=((),) * v,
+                                       field_meta=None, construction="hand-built")
+                    rep = verify_design(sd)
+                    want = l >= k >= 2 and v == v_min and Fraction(u) == u_min
+                    assert rep.bounds_tight is want, (k, l, v, u)
+                    assert rep.witnesses.get("bounds") == (None if want else (v, u))
+                    tight += want
+    assert tight == 16  # the (k, l) with l >= k >= 2 and k | l(l-1)(k-1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +215,7 @@ def test_report_dict_shape():
     rep = verify_design(build_scaled_cage(2, 1))
     d = rep.as_dict()
     assert d["all_ok"] is True
-    assert set(d) == {"girth_ok", "degrees_ok", "steiner_exact", "bounds_tight", "all_ok", "witnesses"}
+    assert list(d) == ["girth_ok", "degrees_ok", "steiner_exact", "bounds_tight", "all_ok", "witnesses"]
 
 
 def test_steiner_block_repeating_an_element():
