@@ -107,7 +107,8 @@ class StorageDesign(namedtuple(
     have 0 <= u <= v * l.  from_json checks the rows, and building
     x_neighbors checks that every chunk id lies in [0, u).
     is_complete, rows_ascend and x_neighbors are computed on first use
-    and kept in the instance __dict__, which _replace does not copy.
+    and kept in the instance __dict__, which _replace does not copy;
+    from_json records is_complete and rows_ascend as it checks the rows.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -133,7 +134,10 @@ class StorageDesign(namedtuple(
     def rows_ascend(self) -> bool:
         """Each row's present chunk ids ascend strictly, so no row repeats one."""
         present = ([c for c in r if c is not None] if None in r else r for r in self.nodes)
-        return all(all(map(lt, r, r[1:])) for r in present)
+        try:
+            return all(all(map(lt, r, r[1:])) for r in present)
+        except TypeError:  # ids that cannot be compared; x_neighbors names the row
+            return False
 
     @cached_property
     def x_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -156,7 +160,7 @@ def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
                     if j < 0:
                         raise IndexError
                     out[j].append(i)
-        except IndexError:
+        except (IndexError, TypeError):  # TypeError: an id that is no integer
             raise InvalidDesign(f"row {i} holds an id out of range [0, {size})") from None
     return tuple(map(tuple, out))
 

@@ -11,6 +11,7 @@ first p_{n-1}(q) slots of the first p_n(q) nodes of the (q, n) table.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain
 from operator import lt
@@ -98,7 +99,8 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     Valid u_tilde lie strictly above the previous iteration's chunk
     count and at most at this iteration's; slot positions are kept so
     chunks can be filled in later without moving anything.  Tables this
-    library did not build raise NotCanonical, ids outside [0, u) InvalidDesign.
+    library did not build raise NotCanonical; ids outside [0, u), and a
+    row that does not ascend strictly, raise InvalidDesign.
     """
     _require_canonical(full)
     if not full.is_complete:
@@ -107,9 +109,11 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     if type(u_tilde) is not int or not u_prev < u_tilde <= full.u:
         raise OutOfRange(f"u_tilde must be an integer in ({u_prev}, {full.u}], got {u_tilde!r}")
     full.x_neighbors  # range-checks every id; a load has already built it
-    nodes = tuple(
-        tuple(c if c is not None and c < u_tilde else None for c in row) for row in full.nodes
-    )
+    if not full.rows_ascend:  # a load has recorded True; from_json would refuse the output
+        raise InvalidDesign("partial_fill expects each row in strictly ascending chunk-id order")
+    # the ids kept in an ascending row are a prefix, so one bisect finds its end
+    nodes = tuple(row[:i] + (None,) * (len(row) - i)
+                  for row in full.nodes for i in [bisect_left(row, u_tilde)])
     return full._replace(nodes=nodes)
 
 
@@ -163,6 +167,7 @@ def check_partial_invariants(sd: StorageDesign):
     a < b share chunks c0 < c ("overlap": (a, b, c0, c)), or the first
     blank chunk lies below a present one ("blank_gap": (blank, present)).
     detail is empty when ok; a chunk id out of range raises InvalidDesign."""
+    locs = chunk_locations(sd)  # first, so an id that is no integer raises before set() hashes it
     if not sd.rows_ascend:  # a row that ascends strictly repeats no chunk
         for g, row in enumerate(sd.nodes):
             present = [c for c in row if c is not None]
@@ -171,7 +176,6 @@ def check_partial_invariants(sd: StorageDesign):
     bad = _replica_defect(sd)
     if bad is not None:
         return False, {"replicas": bad}
-    locs = chunk_locations(sd)
     w = _first_repeat(locs, sd.v)
     if w is not None:
         c0, a, c, b = w
@@ -241,20 +245,23 @@ def _parse(text: str | bytes) -> StorageDesign:
 
 def _validate(sd: StorageDesign) -> None:
     """from_json's second stage, the row checks, which record
-    sd.rows_ascend; chunk ids are range-checked as _replica_defect
-    builds x_neighbors."""
+    sd.rows_ascend and sd.is_complete; chunk ids are range-checked as
+    _replica_defect builds x_neighbors."""
+    blanks = False
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
         types = set(map(type, row))
         if not types <= {int, type(None)}:
             raise InvalidDesign(f"node {g} has a slot that is neither an integer nor null")
-        present = [c for c in row if c is not None] if type(None) in types else row
+        blank = type(None) in types
+        blanks |= blank
+        present = [c for c in row if c is not None] if blank else row
         if not all(map(lt, present, present[1:])):  # strict ascent: no repeat, in order
             if len(set(present)) != len(present):
                 raise InvalidDesign(f"node {g} repeats a chunk id")
             raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
-    sd.__dict__["rows_ascend"] = True
+    sd.__dict__.update(rows_ascend=True, is_complete=not blanks)
     bad = _replica_defect(sd)
     if bad is not None:
         raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")

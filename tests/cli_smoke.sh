@@ -13,6 +13,12 @@ expect 2 cli repair -i "$d/d.json" --node 31 2> "$d/err"
 grep -q '^NodeOutOfRange:' "$d/err"
 expect 0 cli fill -i "$d/d.json" --chunks 100 -o "$d/f.json"
 expect 0 cli verify -i "$d/f.json"
+# both ends of fill's window: at u = 155 every slot stays, so the bytes
+# are the input's; at u_prev + 1 = 36 each row keeps its ids below 36
+expect 0 cli fill -i "$d/d.json" --chunks 155 -o "$d/f155.json"
+cmp "$d/d.json" "$d/f155.json"
+expect 0 cli fill -i "$d/d.json" --chunks 36 -o "$d/f36.json"
+expect 0 cli verify -i "$d/f36.json"
 expect 0 cli expand -i "$d/d.json" -o "$d/e.json"
 # growing (2,3) gives the same bytes as building (2,4)
 expect 0 cli construct --q 2 --n 4 -o "$d/c4.json"

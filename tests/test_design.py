@@ -322,6 +322,42 @@ def test_partial_fill_steiner_on_present_chunks():
         assert all(v <= 1 for v in counts.values())
 
 
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2)])
+def test_partial_fill_matches_a_per_slot_oracle(q, n):
+    built = build_scaled_cage(q, n)
+    loaded = from_json(to_json(built))
+    for u_tilde in range(chunks_per_iteration(q, n - 1) + 1, built.u + 1):
+        want = tuple(tuple(c if c < u_tilde else None for c in row) for row in built.nodes)
+        for full in (built, loaded):
+            assert partial_fill(full, u_tilde).nodes == want, u_tilde
+
+
+@pytest.mark.parametrize("edit", ["swap", "repeat"])
+def test_partial_fill_refuses_a_row_out_of_order(edit):
+    # ids in range, so only the order of row 3 is wrong; from_json
+    # would refuse the filled table, so partial_fill refuses its input
+    full = build_scaled_cage(2, 2)
+    rows = [list(row) for row in full.nodes]
+    if edit == "swap":
+        rows[3][0], rows[3][1] = rows[3][1], rows[3][0]
+    else:
+        rows[3][1] = rows[3][0]
+    with pytest.raises(InvalidDesign, match="ascending"):
+        partial_fill(replace(full, nodes=tuple(map(tuple, rows))), 30)
+
+
+def test_from_json_records_completeness():
+    full = build_scaled_cage(2, 3)
+    # a hand-built table whose one blank sits in its last row
+    tail = helpers.storage_from_rows([[0, 1], [2, 3], [4, None]], num_chunks=6, k=1)
+    texts = [to_json(full), to_json(partial_fill(full, 36)), to_json(partial_fill(full, 100)),
+             to_json(tail), to_json(build_scaled_cage(8, 1))]
+    for text in texts:
+        sd = from_json(text)
+        assert "is_complete" in vars(sd)  # recorded by the load, not computed on use
+        assert sd.is_complete == (not any(None in row for row in sd.nodes)) == ("null" not in text)
+
+
 # ---------------------------------------------------------------------------
 # repair
 # ---------------------------------------------------------------------------

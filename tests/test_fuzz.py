@@ -13,7 +13,8 @@ reaches the decoder and the JSON parser: it runs through `verify`,
 
 Each library mutant is a table with one header field or one slot
 edited by _replace.  Every public function that takes a
-table must return or raise a FrcageError, within a second.
+table must return or raise a FrcageError, within a second.  The same
+holds, unseeded, for a slot set to 1.0, "1" or [1].
 """
 
 import json
@@ -357,3 +358,30 @@ def test_library_mutants_return_or_raise_named_errors(q, n):
             continue
         for name, call in _entry_points(rng, mutant):
             _returns_or_names_its_error((name, mutant), call)
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("bad", [1.0, "1", [1]], ids=["float", "str", "list"])
+def test_library_slots_that_are_no_integer_raise_named_errors(q, n, bad):
+    # 1.0 indexes no list, and "1" and [1] order against no int; put in
+    # a first, middle or last slot, each is a FrcageError, not a TypeError
+    built = build_scaled_cage(q, n)
+    u_tilde = chunks_per_iteration(q, n - 1) + 1
+    for base in (built, replace(built, construction="hand-built")):
+        for g, i in ((0, 0), (0, 1), (base.v // 2, base.l // 2), (base.v - 1, base.l - 1)):
+            rows = [list(row) for row in base.nodes]
+            rows[g][i] = bad
+            sd = replace(base, nodes=tuple(map(tuple, rows)))
+            calls = [
+                ("x_neighbors", lambda: sd.x_neighbors),
+                ("verify_design", lambda: verify_design(sd)),
+                ("girth_at_least_six", lambda: girth_at_least_six(sd)),
+                ("check_partial_invariants", lambda: check_partial_invariants(sd)),
+                ("expand", lambda: expand(sd)),
+                ("partial_fill", lambda: partial_fill(sd, u_tilde)),
+                ("json", lambda: from_json(to_json(sd))),
+                ("to_csv", lambda: to_csv(sd)),
+                ("to_dot", lambda: to_dot(sd)),
+            ] + [("repair_plan", lambda h=h: repair_plan(sd, h)) for h in range(sd.v)]
+            for name, call in calls:
+                _returns_or_names_its_error((name, base.construction, g, i), call)
