@@ -108,7 +108,11 @@ class StorageDesign(namedtuple(
     x_neighbors checks that every chunk id lies in [0, u).
     is_complete, rows_ascend and x_neighbors are computed on first use
     and kept in the instance __dict__, which _replace does not copy;
-    from_json records is_complete and rows_ascend as it checks the rows.
+    from_json records is_complete and rows_ascend as it checks the rows,
+    and build_scaled_cage records both as True.  On any other table,
+    rows_ascend checks every slot's type, and building x_neighbors
+    computes it first, so a slot that is neither an int nor None (True
+    and 1.0 included) raises InvalidDesign.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -133,11 +137,8 @@ class StorageDesign(namedtuple(
     @cached_property
     def rows_ascend(self) -> bool:
         """Each row's present chunk ids ascend strictly, so no row repeats one."""
-        present = ([c for c in r if c is not None] if None in r else r for r in self.nodes)
-        try:
-            return all(all(map(lt, r, r[1:])) for r in present)
-        except TypeError:  # ids that cannot be compared; x_neighbors names the row
-            return False
+        rows = [_present(g, r) for g, r in enumerate(self.nodes)]  # all types, before all() stops
+        return all(all(map(lt, r, r[1:])) for r in rows)
 
     @cached_property
     def x_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -145,7 +146,21 @@ class StorageDesign(namedtuple(
         (empty for a chunk blanked by partial fill).  Built on first use
         and kept for the life of the design; a chunk id outside [0, u)
         raises InvalidDesign."""
+        self.rows_ascend  # recorded by a load or build; else this checks every slot's type
         return _transpose(self.nodes, self.u)
+
+
+_SLOT_TYPES = {int, type(None)}
+
+
+def _present(g: int, row: tuple) -> tuple | list:
+    """Node g's row without its blanks.  A slot that is neither an int
+    nor None raises InvalidDesign: True and 1.0 equal chunk 1 but are
+    no chunk id, and "1" and [1] index nothing."""
+    types = set(map(type, row))
+    if not types <= _SLOT_TYPES:
+        raise InvalidDesign(f"node {g} has a slot that is neither an integer nor null")
+    return [c for c in row if c is not None] if type(None) in types else row
 
 
 def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
@@ -160,7 +175,7 @@ def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
                     if j < 0:
                         raise IndexError
                     out[j].append(i)
-        except (IndexError, TypeError):  # TypeError: an id that is no integer
+        except IndexError:
             raise InvalidDesign(f"row {i} holds an id out of range [0, {size})") from None
     return tuple(map(tuple, out))
 
@@ -258,9 +273,12 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
         members = (map(kids.__getitem__, map(itemgetter(j), blocks)) for j in range(q + 1))
         x.extend(chain.from_iterable(map(zip, *map(map, cols, members))))
     del blocks, cols  # q**3 symbols: free them before the transpose needs room
-    return StorageDesign(
+    sd = StorageDesign(
         q=q, n=n, k=q + 1, l=l, v=v, u=len(x), nodes=_transpose(x, v), field_meta=FieldMeta.of(f)
     )
+    # _transpose lists each node's chunks in id order, and no block repeats a node
+    sd.__dict__.update(rows_ascend=True, is_complete=True)
+    return sd
 
 
 def to_dot(d: StorageDesign, name: str = "design") -> str:

@@ -22,6 +22,7 @@ from .cage import (
     FieldMeta,
     StorageDesign,
     _check_edge_cap,
+    _present,
     build_scaled_cage,
     chunks_per_iteration,
 )
@@ -251,12 +252,8 @@ def _validate(sd: StorageDesign) -> None:
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
-        types = set(map(type, row))
-        if not types <= {int, type(None)}:
-            raise InvalidDesign(f"node {g} has a slot that is neither an integer nor null")
-        blank = type(None) in types
-        blanks |= blank
-        present = [c for c in row if c is not None] if blank else row
+        present = _present(g, row)
+        blanks |= len(present) < len(row)
         if not all(map(lt, present, present[1:])):  # strict ascent: no repeat, in order
             if len(set(present)) != len(present):
                 raise InvalidDesign(f"node {g} repeats a chunk id")

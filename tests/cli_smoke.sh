@@ -33,6 +33,10 @@ expect 0 cli construct --q 13 --n 1 -o "$d/q13n1.json"
 expect 0 cli expand -i "$d/q13n1.json" -o "$d/q13e.json"
 expect 0 cli construct --q 13 --n 2 -o "$d/q13n2.json"
 cmp "$d/q13e.json" "$d/q13n2.json"
+# v = 2,380 nodes: verify's cover walks shift here (over 2,048 elements)
+# and read a bit table on (2,3) above; under -e any exit but 0 fails
+cli verify -i "$d/q13n2.json" > "$d/q13v"
+grep -q '"all_ok": true' "$d/q13v"
 # extension fields of odd characteristic, where e_s - e_i differs from e_s + e_i
 expect 0 cli construct --q 27 --n 1 -o "$d/q27n1.json"
 expect 0 cli verify -i "$d/q27n1.json"

@@ -358,6 +358,16 @@ def test_from_json_records_completeness():
         assert sd.is_complete == (not any(None in row for row in sd.nodes)) == ("null" not in text)
 
 
+def test_build_records_ascent_and_completeness():
+    for q, n in [(2, 3), (3, 2), (8, 1)]:
+        sd = build_scaled_cage(q, n)
+        assert {k: vars(sd)[k] for k in ("rows_ascend", "is_complete")} == {
+            "rows_ascend": True, "is_complete": True}
+        fresh = replace(sd, construction="hand-built")
+        assert not {"rows_ascend", "is_complete"} & set(vars(fresh))
+        assert (fresh.rows_ascend, fresh.is_complete) == (True, True)  # computed from the rows
+
+
 # ---------------------------------------------------------------------------
 # repair
 # ---------------------------------------------------------------------------

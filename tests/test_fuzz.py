@@ -13,8 +13,9 @@ reaches the decoder and the JSON parser: it runs through `verify`,
 
 Each library mutant is a table with one header field or one slot
 edited by _replace.  Every public function that takes a
-table must return or raise a FrcageError, within a second.  The same
-holds, unseeded, for a slot set to 1.0, "1" or [1].
+table must return or raise a FrcageError, within a second.  A slot set,
+unseeded, to 1.0, "1", [1], True or False must raise one from every
+such function but to_csv.
 """
 
 import json
@@ -334,7 +335,7 @@ def _entry_points(rng, sd):
     ]
 
 
-def _returns_or_names_its_error(what, call):
+def _returns_or_names_its_error(what, call, must_raise=False):
     t0 = time.perf_counter()
     try:
         call()
@@ -342,6 +343,8 @@ def _returns_or_names_its_error(what, call):
         pass
     except Exception as exc:
         raise AssertionError(f"{what}: {type(exc).__name__}: {exc}") from exc
+    else:
+        assert not must_raise, f"{what} returned"
     assert time.perf_counter() - t0 < 1.0, what
 
 
@@ -361,10 +364,12 @@ def test_library_mutants_return_or_raise_named_errors(q, n):
 
 
 @pytest.mark.parametrize("q, n", [(2, 2), (3, 2)])
-@pytest.mark.parametrize("bad", [1.0, "1", [1]], ids=["float", "str", "list"])
+@pytest.mark.parametrize("bad", [1.0, "1", [1], True, False],
+                         ids=["float", "str", "list", "true", "false"])
 def test_library_slots_that_are_no_integer_raise_named_errors(q, n, bad):
-    # 1.0 indexes no list, and "1" and [1] order against no int; put in
-    # a first, middle or last slot, each is a FrcageError, not a TypeError
+    # 1.0 indexes no list, "1" and [1] order against no int, and True and
+    # False index as chunks 1 and 0; put in a first, middle or last slot,
+    # each is a FrcageError, not a TypeError or a chunk id
     built = build_scaled_cage(q, n)
     u_tilde = chunks_per_iteration(q, n - 1) + 1
     for base in (built, replace(built, construction="hand-built")):
@@ -383,5 +388,6 @@ def test_library_slots_that_are_no_integer_raise_named_errors(q, n, bad):
                 ("to_csv", lambda: to_csv(sd)),
                 ("to_dot", lambda: to_dot(sd)),
             ] + [("repair_plan", lambda h=h: repair_plan(sd, h)) for h in range(sd.v)]
-            for name, call in calls:
-                _returns_or_names_its_error((name, base.construction, g, i), call)
+            for name, call in calls:  # to_csv writes any slot as text
+                _returns_or_names_its_error((name, base.construction, g, i), call,
+                                            must_raise=name != "to_csv")

@@ -24,6 +24,7 @@ from frcage import (
     repair_plan,
     verify_design,
 )
+import frcage.verify as verify_mod
 from frcage.verify import _cover_walk, _pair_walk
 from conftest import GOLDEN_S237, GOLDEN_S239
 import helpers
@@ -535,3 +536,51 @@ def test_cover_walk_verdict_on_repeated_elements():
     # two copies alone repeat nothing: the witness walk clears them
     d = helpers.incidence_from_blocks([[0, 1], [2, 2]], 3)
     assert girth_at_least_six(d) == ref_girth(d) == (True, None)
+
+
+# the cases of test_cover_walk_verdict_on_repeated_elements
+REPEATED_ELEMENT_CASES = [
+    ([[0, 0], [0, 0]], 1),
+    ([[1, 1], [0, 1, 1]], 2),
+    ([[0, 2, 2], [1, 2]], 3),
+    ([[3, 1, 1, 1]], 4),
+    ([[0, 1], [2, 2], [0, 1]], 3),
+    ([[2, 2], [0, 1, 2], [1, 2, 2]], 3),
+    ([[0, 1], [0, 0], [0, 0]], 2),
+    ([[2, 2]], 3),
+    ([[0, 1], [2, 2]], 3),
+]
+
+
+def _cover_walk_outcomes():
+    """What the cover walk decides and what the checks built on it
+    report: on the witness-parity mutant corpus, on blocks that repeat
+    an element, and on blocks holding an id out of range."""
+    out = []
+    cases = []
+    for q, n in PARITY_DESIGNS:
+        d = build_scaled_cage(q, n)
+        rng = random.Random(1000 * q + n)
+        cases += [(tuple(tuple(b) for b in mutate(rng, d.x_neighbors, drop=True)), d.v)
+                  for _ in range(300)]
+    cases += [(tuple(map(tuple, blocks)), v) for blocks, v in REPEATED_ELEMENT_CASES]
+    for blocks, v in cases:
+        table = helpers.incidence_from_blocks(blocks, v)
+        out.append((_cover_walk(blocks, v), girth_at_least_six(table),
+                    check_steiner_exact(BlockCollection(v, blocks))))
+    for bad in (-1, -2**63, 2**63, None):
+        for blocks in (((0, bad), (1, 2)), ((0, 1, bad),)):
+            with pytest.raises(InvalidDesign) as exc:
+                check_steiner_exact(BlockCollection(3, blocks))
+            out.append((bad, str(exc.value)))
+    return out
+
+
+def test_cover_walk_bit_table_and_shift_agree(monkeypatch):
+    # every set of at most _BIT_TABLE_MAX elements takes the table; -1 sends all to the shift
+    table = _cover_walk_outcomes()
+    monkeypatch.setattr(verify_mod, "_BIT_TABLE_MAX", -1)
+    shift = _cover_walk_outcomes()
+    assert table == shift
+    assert len(shift) == 3 * 300 + len(REPEATED_ELEMENT_CASES) + 8
+    assert {once for (once, _), _, _ in shift[:-8]} == {True, False}
