@@ -44,13 +44,16 @@ def _write(text: str, path: str | None) -> None:
         with open(path, "w") as fh:
             fh.write(text)
         return
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x")
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x")
+    except OSError as exc:  # name the path as given, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.remove(tmp)
         raise
@@ -74,12 +77,8 @@ def _cmd_verify(args) -> int:
         report["complete"] = True
         ok = report["all_ok"]
     else:
-        ok, detail = design_mod.check_partial_invariants(sd)
-        report = {
-            "complete": False,
-            "partial_invariants_ok": ok,
-            "witnesses": {k: list(v) for k, v in detail.items()},
-        }
+        ok, witnesses = design_mod.check_partial_invariants(sd)  # json writes tuples as arrays
+        report = {"complete": False, "partial_invariants_ok": ok, "witnesses": witnesses}
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if ok else 1
 
@@ -97,13 +96,8 @@ def _cmd_fill(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    sd = _load(args.input)
-    plan = design_mod.repair_plan(sd, args.node)
-    payload = {
-        "failed_node": plan.failed_node,
-        "assignments": [[c, h] for c, h in plan.assignments],
-    }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    plan = design_mod.repair_plan(_load(args.input), args.node)
+    sys.stdout.write(json.dumps(plan._asdict(), sort_keys=True, indent=2) + "\n")
     return 0
 
 

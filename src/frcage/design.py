@@ -158,7 +158,6 @@ def _replica_defect(sd: StorageDesign):
     for c, holders in enumerate(locs):
         if holders and len(holders) != sd.k:
             return c, len(holders)
-    return None
 
 
 def check_partial_invariants(sd: StorageDesign):
@@ -266,6 +265,7 @@ def _validate(sd: StorageDesign) -> None:
 
 def to_csv(sd: StorageDesign) -> str:
     """One row per node: node id followed by its slots (blank = empty)."""
+    sd.rows_ascend  # a load or build recorded it; else this refuses a slot that is no int or None
     lines = []
     for g, row in enumerate(sd.nodes):
         cells = [str(g)] + ["" if c is None else str(c) for c in row]

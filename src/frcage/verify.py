@@ -63,8 +63,10 @@ def _cover_walk(blocks, num_elements: int):
 
     On at most _BIT_TABLE_MAX elements, bit a comes from a table built
     per walk: timed alone, it beat 1 << a by 11-18% on every design of
-    that size, but lost on (61,1), (64,1) and larger.  The table is
-    padded with num_elements Nones, so a negative id raises (TypeError
+    that size, but lost on (61,1), (64,1) and larger.  The cutoff also
+    bounds memory: the table takes about v**2/16 bytes beside masks of
+    twice that, 0.35 MiB at 2,048 elements but 278 MiB on (256,1).  It
+    is padded with num_elements Nones, so a negative id raises (TypeError
     from a None, or IndexError from masks below -num_elements), as
     1 << a raises ValueError, rather than read from its other end."""
     masks = [0] * num_elements
@@ -103,13 +105,10 @@ def _pair_walk(blocks, seen):
     for c, block in enumerate(blocks):
         rows = []
         later = twice = 0  # elements after a in sorted order, and those among them seen twice
-        prev = None
         for a in sorted(block, reverse=True):
             rows.append((a, later, twice))
-            if a == prev:
-                twice |= 1 << a
+            twice |= later & 1 << a  # a is already in later exactly when it repeats
             later |= 1 << a
-            prev = a
         while rows:  # ascending; pop, so each suffix mask is held once, in seen
             a, later, twice = rows.pop()
             hits = seen[a] & later | twice
@@ -193,14 +192,10 @@ class VerificationReport(namedtuple(
         return self.girth_ok and self.degrees_ok and self.steiner_exact and self.bounds_tight
 
     def as_dict(self) -> dict:
-        return {
-            "girth_ok": self.girth_ok,
-            "degrees_ok": self.degrees_ok,
-            "steiner_exact": self.steiner_exact,
-            "bounds_tight": self.bounds_tight,
-            "all_ok": self.all_ok,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
+        d = self._asdict()
+        d["all_ok"] = self.all_ok
+        d["witnesses"] = {k: list(v) for k, v in d.pop("witnesses").items()}
+        return d
 
 
 def verify_design(d: StorageDesign) -> VerificationReport:
@@ -211,21 +206,17 @@ def verify_design(d: StorageDesign) -> VerificationReport:
         raise InvalidDesign("cannot verify a partially filled design as a complete one")
     witnesses: dict = {}
 
-    degrees_ok = True
     # holders repeat a node exactly where its row repeats the chunk, and a row that ascends
-    # strictly (from_json checks each loaded row) repeats none; the loop finds the witness
-    if set(map(len, d.x_neighbors)) != {d.k} or not d.rows_ascend and any(
-            len(set(r)) != len(r) for r in d.nodes):
-        for c, ys in enumerate(d.x_neighbors):
-            if len(ys) != d.k or len(set(ys)) != d.k:
-                degrees_ok = False
-                witnesses["degree"] = ("x", c, len(set(ys)))
-                break
-    if degrees_ok:
+    # strictly (a load or build records it) repeats none
+    if set(map(len, d.x_neighbors)) != {d.k} or not d.rows_ascend:
+        w = next((("x", c, len(set(ys))) for c, ys in enumerate(d.x_neighbors)
+                  if len(ys) != d.k or len(set(ys)) != d.k), None)
+        if w is not None:
+            witnesses["degree"] = w
+    if "degree" not in witnesses:
         # a node's degree is its row length, since every slot is filled
         g = next((g for g, deg in enumerate(map(len, d.nodes)) if deg != d.l), None)
         if g is not None:
-            degrees_ok = False
             witnesses["degree"] = ("y", g, len(d.nodes[g]))
 
     girth_ok, w = girth_at_least_six(d)
@@ -241,4 +232,5 @@ def verify_design(d: StorageDesign) -> VerificationReport:
     if not bounds_tight:
         witnesses["bounds"] = (d.v, d.u)
 
+    degrees_ok = "degree" not in witnesses
     return VerificationReport(girth_ok, degrees_ok, steiner_ok, bounds_tight, witnesses)

@@ -123,3 +123,7 @@ expect 2 cli verify -i "$d/not_utf8.json" 2> "$d/err"
 grep -q '^InvalidDesign:' "$d/err"
 expect 2 cli verify -i "$d/deep.json" 2> "$d/err"
 grep -q '^InvalidDesign:' "$d/err"
+# a write into a missing directory names the path as given, not a temporary file
+expect 2 cli construct --q 2 --n 2 -o "$d/no/such/dir/x.json" 2> "$d/err"
+grep -qF "'$d/no/such/dir/x.json'" "$d/err"
+if grep -qF .tmp "$d/err"; then exit 1; fi

@@ -258,8 +258,9 @@ def test_failed_write_keeps_old_output(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
 
     monkeypatch.undo()
-    code, _, _ = run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(tmp_path / "no" / "d.json"))
-    assert code == 2
+    missing = tmp_path / "no" / "d.json"
+    code, _, err = run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(missing))
+    assert code == 2 and f"'{missing}'" in err and ".tmp" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
 
 
@@ -359,6 +360,41 @@ def test_mols_cli(capsys):
         for extra, want in zip(([], ["--json"]), digests):
             code, out, _ = run(capsys, "mols", "--q", str(q), *extra)
             assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want, (q, extra)
+
+
+# (exit code, sha256 of stdout) of `verify` and `repair --node 5` on (2,3)
+# files: complete, filled at 100, a traded replica that keeps every row
+# ascending (a bad pair), and the filled file with chunk 10 blanked too, so
+# its blanks are no suffix.  Node 5 holds no chunk >= 100, so its repair
+# reads the same on both files.
+VERIFY_REPAIR_SHA256 = {
+    ("verify", "d"): (0, "80af20cc984a636ca55789a4ea8798564f98787302dee5058b7b10d47659e870"),
+    ("verify", "f"): (0, "f68c7d88ba133b373cabfa4f02604cdbd7f14d017dac446c0168aeeade161290"),
+    ("verify", "traded"): (1, "bb099ada65732c8b17df7f6eb9f2684067d7184b00e69ab6d7036fafc389baa4"),
+    ("verify", "gap"): (1, "77825282f6f0624ef3182893f1bbb2441b5b3a5c7129e1e98209c15c97c0962b"),
+    ("repair", "d"): (0, "b9c4ad311a472a566ed46e64bae06884eb1af73a8e4d6a3a5ead8ea7b7f5f0e3"),
+    ("repair", "f"): (0, "b9c4ad311a472a566ed46e64bae06884eb1af73a8e4d6a3a5ead8ea7b7f5f0e3"),
+}
+
+
+def test_verify_and_repair_cli_bytes(tmp_path, capsys):
+    d, f = tmp_path / "d.json", tmp_path / "f.json"
+    run(capsys, "construct", "--q", "2", "--n", "3", "-o", str(d))
+    run(capsys, "fill", "-i", str(d), "--chunks", "100", "-o", str(f))
+    payload = json.loads(d.read_text())
+    a, b = payload["nodes"][7], payload["nodes"][8]
+    c, e = next(x for x in a if x not in b), next(x for x in b if x not in a)
+    a[a.index(c)], b[b.index(e)] = e, c
+    a.sort()
+    b.sort()
+    (tmp_path / "traded.json").write_text(json.dumps(payload))
+    payload = json.loads(f.read_text())
+    payload["nodes"] = [[None if c == 10 else c for c in row] for row in payload["nodes"]]
+    (tmp_path / "gap.json").write_text(json.dumps(payload))
+    for (cmd, name), want in VERIFY_REPAIR_SHA256.items():
+        extra = ["--node", "5"] if cmd == "repair" else []
+        code, out, _ = run(capsys, cmd, "-i", str(tmp_path / f"{name}.json"), *extra)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, (cmd, name)
 
 
 def test_mols_is_capped_before_the_field_is_built(capsys, monkeypatch):

@@ -15,7 +15,7 @@ Each library mutant is a table with one header field or one slot
 edited by _replace.  Every public function that takes a
 table must return or raise a FrcageError, within a second.  A slot set,
 unseeded, to 1.0, "1", [1], True or False must raise one from every
-such function but to_csv.
+such function.
 """
 
 import json
@@ -388,6 +388,5 @@ def test_library_slots_that_are_no_integer_raise_named_errors(q, n, bad):
                 ("to_csv", lambda: to_csv(sd)),
                 ("to_dot", lambda: to_dot(sd)),
             ] + [("repair_plan", lambda h=h: repair_plan(sd, h)) for h in range(sd.v)]
-            for name, call in calls:  # to_csv writes any slot as text
-                _returns_or_names_its_error((name, base.construction, g, i), call,
-                                            must_raise=name != "to_csv")
+            for name, call in calls:
+                _returns_or_names_its_error((name, base.construction, g, i), call, must_raise=True)

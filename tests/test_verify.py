@@ -516,29 +516,6 @@ def test_cover_walk_verdict_on_mutants(q, n):
     assert verdicts == {(True, True), (True, False), (False, False)}
 
 
-def test_cover_walk_verdict_on_repeated_elements():
-    cases = [
-        ([[0, 0], [0, 0]], 1),
-        ([[1, 1], [0, 1, 1]], 2),
-        ([[0, 2, 2], [1, 2]], 3),
-        ([[3, 1, 1, 1]], 4),
-        ([[0, 1], [2, 2], [0, 1]], 3),
-        ([[2, 2], [0, 1, 2], [1, 2, 2]], 3),
-        ([[0, 1], [0, 0], [0, 0]], 2),
-        ([[2, 2]], 3),
-        ([[0, 1], [2, 2]], 3),
-    ]
-    for blocks, v in cases:
-        assert not assert_cover_walk_decides(tuple(map(tuple, blocks)), v)[0]
-    # an element that no block holds (a node left empty by a fill) is
-    # not a defect
-    assert assert_cover_walk_decides(((0, 1),), 3) == (True, 1)
-    # two copies alone repeat nothing: the witness walk clears them
-    d = helpers.incidence_from_blocks([[0, 1], [2, 2]], 3)
-    assert girth_at_least_six(d) == ref_girth(d) == (True, None)
-
-
-# the cases of test_cover_walk_verdict_on_repeated_elements
 REPEATED_ELEMENT_CASES = [
     ([[0, 0], [0, 0]], 1),
     ([[1, 1], [0, 1, 1]], 2),
@@ -550,6 +527,17 @@ REPEATED_ELEMENT_CASES = [
     ([[2, 2]], 3),
     ([[0, 1], [2, 2]], 3),
 ]
+
+
+def test_cover_walk_verdict_on_repeated_elements():
+    for blocks, v in REPEATED_ELEMENT_CASES:
+        assert not assert_cover_walk_decides(tuple(map(tuple, blocks)), v)[0]
+    # an element that no block holds (a node left empty by a fill) is
+    # not a defect
+    assert assert_cover_walk_decides(((0, 1),), 3) == (True, 1)
+    # two copies alone repeat nothing: the witness walk clears them
+    d = helpers.incidence_from_blocks([[0, 1], [2, 2]], 3)
+    assert girth_at_least_six(d) == ref_girth(d) == (True, None)
 
 
 def _cover_walk_outcomes():
