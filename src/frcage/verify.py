@@ -4,7 +4,7 @@ One cover walk decides every pair check: each block's bitmask is OR-ed
 into a Python-int mask per element (u*k operations on v-bit ints, not
 u*C(k,2) pair lookups), and the masks' bit counts tell whether a pair
 repeats.  On at most 2,048 elements a block's bits come from a table
-built once per walk, padded so a negative id still raises; above that
+built once per walk, padded so any id outside [0, v) raises; above that
 the walk shifts, which timed faster there.  Only on a defect does the
 one witness walk run, in itertools.combinations order: its first
 repeated pair names a 4-cycle or an overlap, and all its repeats name
@@ -66,9 +66,9 @@ def _cover_walk(blocks, num_elements: int):
     that size, but lost on (61,1), (64,1) and larger.  The cutoff also
     bounds memory: the table takes about v**2/16 bytes beside masks of
     twice that, 0.35 MiB at 2,048 elements but 278 MiB on (256,1).  It
-    is padded with num_elements Nones, so a negative id raises (TypeError
-    from a None, or IndexError from masks below -num_elements), as
-    1 << a raises ValueError, rather than read from its other end."""
+    is padded with num_elements Nones, so any id outside [0, num_elements)
+    raises (TypeError from a None, else IndexError), as 1 << a or masks[a]
+    do on the shift path; no negative id reads a bit from the other end."""
     masks = [0] * num_elements
     if num_elements <= _BIT_TABLE_MAX:
         bit = [1 << a for a in range(num_elements)] + [None] * num_elements
@@ -151,15 +151,18 @@ def check_steiner_exact(bc: BlockCollection):
     """(True, None) when every unordered element pair lies in exactly
     one block; otherwise (False, (a, b, count)) for the first bad pair
     in sorted order.  An element that is not an id in [0, num_elements)
-    raises InvalidDesign.  Memory follows the largest id, not num_elements."""
-    v = bc.num_elements
+    raises InvalidDesign.  Masks stay at most 2,048 ints on at most 2,048
+    elements; above that, memory follows the largest id, not num_elements."""
+    v = n = bc.num_elements
     try:
-        top = max(chain.from_iterable(bc.blocks), default=-1)
-        if top >= v:  # before 1 << id, in C
-            raise IndexError
-        # When n < v, element n - 1 lies in no block, so pair (0, n - 1)
-        # is bad and the first bad pair lies below n.
-        n = min(v, max(top + 2, 2))
+        # on at most _BIT_TABLE_MAX elements, the walk on its padded table raises on a bad id
+        if not (type(v) is int and 0 <= v <= _BIT_TABLE_MAX):
+            top = max(chain.from_iterable(bc.blocks), default=-1)
+            if top >= v:  # before 1 << id, in C
+                raise IndexError
+            # When n < v, element n - 1 lies in no block, so pair (0, n - 1)
+            # is bad and the first bad pair lies below n.
+            n = min(v, max(top + 2, 2))
         if _cover_walk(bc.blocks, n) == (True, v * (v - 1) // 2):
             return True, None
     except (IndexError, TypeError, ValueError) as exc:

@@ -104,6 +104,16 @@ expect 2 cli verify -i "$d/unsorted.json" 2> "$d/err"
 grep -q '^InvalidDesign: node' "$d/err"
 # check_steiner_exact's memory follows the largest id, not num_elements
 (ulimit -v 2000000; python -c 'from frcage import BlockCollection, check_steiner_exact; assert check_steiner_exact(BlockCollection(10**9, ((0, 1),))) == (False, (0, 2, 0))')
+# a huge id is refused, not built into a bitmask, on both sides of the walk's
+# 2,048-element bit-table cutoff (the table refuses it at 2,048, a scan at 2,049)
+(ulimit -v 2000000; python -c '
+from frcage import BlockCollection, InvalidDesign, check_steiner_exact
+for v in (2048, 2049):
+    try:
+        check_steiner_exact(BlockCollection(v, ((0, 2**40),)))
+    except InvalidDesign:
+        continue
+    raise SystemExit(f"no InvalidDesign at {v}")')
 # one slot past Python's 4,300-digit int limit is refused on load
 python - "$d/d.json" "$d/huge.json" <<'PY'
 import json, sys

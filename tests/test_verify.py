@@ -489,6 +489,43 @@ def test_out_of_range_ids_raise():
                         check()
 
 
+def test_out_of_range_ids_raise_on_either_side_of_the_bit_table_cutoff():
+    # at most _BIT_TABLE_MAX elements, the walk's padded table refuses; above, the largest-id
+    # scan does: either way with the same message, and no bitmask built from the bad id
+    for v in (3, 2047, 2048, 2049):
+        for bad in (v, 2 * v - 1, 2 * v, -1, -v, -v - 1, -2 * v, -2 * v - 1, 2**63, -2**63,
+                    None, 1.0, "1"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidDesign, match=rf"not an id in \[0, {v}\)"):
+                    check_steiner_exact(BlockCollection(v, ((0, 1, bad),)))
+                assert tracemalloc.get_traced_memory()[1] < 2**20, (v, bad)
+            finally:
+                tracemalloc.stop()
+    for v in (2048, 2049):
+        assert check_steiner_exact(BlockCollection(v, ((0, 1),))) == (False, (0, 2, 0))
+    with pytest.raises(InvalidDesign, match=r"not an id in \[0, -1\)"):
+        check_steiner_exact(BlockCollection(-1, ((0, 1),)))
+    assert check_steiner_exact(BlockCollection(3.0, ())) == (False, (0, 1, 0))
+    assert check_steiner_exact(BlockCollection(True, ())) == (True, None)
+
+
+class _NoLargestIdScan:
+    @staticmethod
+    def from_iterable(_):
+        raise AssertionError("the largest-id scan ran")
+
+
+def test_steiner_scans_for_the_largest_id_only_above_the_cutoff(monkeypatch):
+    monkeypatch.setattr(verify_mod, "chain", _NoLargestIdScan)
+    assert check_steiner_exact(BlockCollection(7, tuple(map(tuple, GOLDEN_S237)))) == (True, None)
+    assert check_steiner_exact(BlockCollection(2048, ((0, 1),))) == (False, (0, 2, 0))
+    # more elements, or a num_elements that is no int in [0, 2048], still take the scan
+    for v in (2049, 3.0, True, -1):
+        with pytest.raises(AssertionError, match="largest-id scan"):
+            check_steiner_exact(BlockCollection(v, ((0, 1),)))
+
+
 def assert_cover_walk_decides(blocks, v):
     """The cover walk passes exactly when the witness walk finds no
     repeated pair and no block repeats an element (so a lone [2, 2],
