@@ -104,15 +104,17 @@ class StorageDesign(namedtuple(
     assigned.  Creating one (also by _replace) checks the header in
     O(1) and raises InvalidDesign: there must be v rows, a canonical
     header must match (q, n) (see _check_header), and any other must
-    have 0 <= u <= v * l.  from_json checks the rows, and building
-    x_neighbors checks that every chunk id lies in [0, u).
-    is_complete, rows_ascend and x_neighbors are computed on first use
-    and kept in the instance __dict__, which _replace does not copy;
-    from_json records is_complete and rows_ascend as it checks the rows,
-    and build_scaled_cage records both as True.  On any other table,
-    rows_ascend checks every slot's type, and building x_neighbors
-    computes it first, so a slot that is neither an int nor None (True
-    and 1.0 included) raises InvalidDesign.
+    have 0 <= u <= v * l.  is_complete, rows_ascend and x_neighbors
+    are kept in the instance __dict__, which _replace does not copy.
+    from_json checks the rows and records all three, range-checking
+    chunk ids by each ascending row's first and last id as it builds
+    x_neighbors; build_scaled_cage, whose ids are in range by
+    construction, records the first two as True.  On any other table
+    they are computed on first use: rows_ascend checks every slot's
+    type, and building x_neighbors computes it first, then range-checks
+    each row by its two ends if the rows ascend, else by its min and
+    max.  A slot that is neither an int nor None (True and 1.0
+    included), or a chunk id outside [0, u), raises InvalidDesign.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -146,8 +148,10 @@ class StorageDesign(namedtuple(
         (empty for a chunk blanked by partial fill).  Built on first use
         and kept for the life of the design; a chunk id outside [0, u)
         raises InvalidDesign."""
-        self.rows_ascend  # recorded by a load or build; else this checks every slot's type
-        return _transpose(self.nodes, self.u)
+        ends = self.rows_ascend  # recorded by a load or build; else this checks every slot's type
+        nodes = self.nodes
+        rows = nodes if self.is_complete else [[c for c in r if c is not None] for r in nodes]
+        return _index(rows, self.u, ends)
 
 
 _SLOT_TYPES = {int, type(None)}
@@ -165,19 +169,28 @@ def _present(g: int, row: tuple) -> tuple | list:
 
 def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
     """out[j] lists the indices i of the rows holding j, ascending
-    (rows are walked in order); None entries are skipped.  The first
-    row holding an entry outside [0, size) raises InvalidDesign."""
+    (rows are walked in order).  Every entry must be an int in
+    [0, size): a build's ids are in range by construction, and _index
+    range-checks a table's rows before it calls this."""
     out: list[list[int]] = [[] for _ in range(size)]
     for i, row in enumerate(rows):
-        try:
-            for j in row:
-                if j is not None:
-                    if j < 0:
-                        raise IndexError
-                    out[j].append(i)
-        except IndexError:
-            raise InvalidDesign(f"row {i} holds an id out of range [0, {size})") from None
+        for j in row:
+            out[j].append(i)
     return tuple(map(tuple, out))
+
+
+def _index(rows, u: int, ascend: bool) -> tuple[tuple[int, ...], ...]:
+    """x_neighbors of blank-free int rows.  Ids are range-checked by each
+    row's first and last entry when the rows ascend, else by its min and
+    max; the first row holding an id outside [0, u) raises InvalidDesign.
+    Ids above the largest present one get no holder list of their own."""
+    full = list(filter(None, rows))
+    lo = min(map(itemgetter(0) if ascend else min, full), default=0)
+    hi = max(map(itemgetter(-1) if ascend else max, full), default=-1)
+    if lo < 0 or hi >= u:
+        g = next(g for g, r in enumerate(rows) if r and (min(r) < 0 or max(r) >= u))
+        raise InvalidDesign(f"row {g} holds an id out of range [0, {u})")
+    return _transpose(rows, hi + 1) + ((),) * (u - hi - 1)
 
 
 def _check_header(sd: StorageDesign) -> None:

@@ -22,6 +22,7 @@ from .cage import (
     FieldMeta,
     StorageDesign,
     _check_edge_cap,
+    _index,
     _present,
     build_scaled_cage,
     chunks_per_iteration,
@@ -245,19 +246,22 @@ def _parse(text: str | bytes) -> StorageDesign:
 
 def _validate(sd: StorageDesign) -> None:
     """from_json's second stage, the row checks, which record
-    sd.rows_ascend and sd.is_complete; chunk ids are range-checked as
-    _replica_defect builds x_neighbors."""
-    blanks = False
+    sd.rows_ascend, sd.is_complete and sd.x_neighbors.  Every row's
+    length, slot types and order are checked first; then, from the
+    blank-free rows just checked, _index range-checks each row's first
+    and last chunk id and builds the index; then the replica counts."""
+    rows = []
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
             raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
         present = _present(g, row)
-        blanks |= len(present) < len(row)
         if not all(map(lt, present, present[1:])):  # strict ascent: no repeat, in order
             if len(set(present)) != len(present):
                 raise InvalidDesign(f"node {g} repeats a chunk id")
             raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
-    sd.__dict__.update(rows_ascend=True, is_complete=not blanks)
+        rows.append(present)
+    sd.__dict__.update(rows_ascend=True, is_complete=sum(map(len, rows)) == sd.v * sd.l,
+                       x_neighbors=_index(rows, sd.u, True))
     bad = _replica_defect(sd)
     if bad is not None:
         raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")

@@ -18,8 +18,8 @@ from collections import namedtuple
 from itertools import chain
 from operator import mul
 
-from .cage import BlockCollection, StorageDesign
-from .errors import InvalidDegrees, InvalidDesign
+from .cage import BlockCollection, StorageDesign, _resolve_max_edges
+from .errors import InvalidDegrees, InvalidDesign, InvalidParameter, ResourceLimit
 
 __all__ = [
     "BoundPair",
@@ -121,7 +121,17 @@ def _first_repeat(blocks, num_elements: int):
     """(c0, a, c, b) for the first pair seen twice, scanning the blocks
     in order and each sorted block's pairs a <= b in combinations
     order: c is the block where (a, b) repeats and c0 <= c the first
-    block holding it.  None when no pair repeats."""
+    block holding it.  None when no pair repeats.
+
+    The masks take about num_elements**2 / 16 bytes, so more than
+    cap**(2/3) elements raise ResourceLimit before any walk, the cap
+    read as _resolve_max_edges reads it.  That refuses no canonical
+    table within the cap: there v <= l**2, so v**3 <= (v*l)**2, the
+    square of its edge count."""
+    cap = _resolve_max_edges(None)
+    if num_elements**3 > cap**2:
+        raise ResourceLimit(f"pair masks on {num_elements} elements need v**3 <= cap**2, "
+                            f"cap is {cap}")
     if _cover_walk(blocks, num_elements)[0]:
         return None
     for c, a, hits in _pair_walk(blocks, [0] * num_elements):
@@ -151,12 +161,16 @@ def check_steiner_exact(bc: BlockCollection):
     """(True, None) when every unordered element pair lies in exactly
     one block; otherwise (False, (a, b, count)) for the first bad pair
     in sorted order.  An element that is not an id in [0, num_elements)
-    raises InvalidDesign.  Masks stay at most 2,048 ints on at most 2,048
-    elements; above that, memory follows the largest id, not num_elements."""
+    raises InvalidDesign, and a num_elements that is not an int (bool
+    included) raises InvalidParameter before any block is read.  Masks
+    stay at most 2,048 ints on at most 2,048 elements; above that,
+    memory follows the largest id, not num_elements."""
     v = n = bc.num_elements
+    if type(v) is not int:
+        raise InvalidParameter(f"num_elements must be an integer, got {v!r}")
     try:
         # on at most _BIT_TABLE_MAX elements, the walk on its padded table raises on a bad id
-        if not (type(v) is int and 0 <= v <= _BIT_TABLE_MAX):
+        if not 0 <= v <= _BIT_TABLE_MAX:
             top = max(chain.from_iterable(bc.blocks), default=-1)
             if top >= v:  # before 1 << id, in C
                 raise IndexError

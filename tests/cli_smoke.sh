@@ -114,6 +114,20 @@ for v in (2048, 2049):
     except InvalidDesign:
         continue
     raise SystemExit(f"no InvalidDesign at {v}")')
+# verify's pair masks take about v**2/16 bytes, and only the rows bound a
+# hand-built v: 160,000 one-slot nodes (k = l = 1), complete and with every
+# other slot null, are refused on the edge cap before any mask is built
+for blanks in 0 1; do
+  python -c '
+import json, sys
+v, blanks = 160000, int(sys.argv[2])
+header = json.load(open(sys.argv[1]))["header"]
+header.update(construction="hand-built", k=1, l=1, num_nodes=v, num_chunks=v)
+nodes = [[None if blanks and g % 2 else g] for g in range(v)]
+json.dump({"header": header, "nodes": nodes}, open(sys.argv[3], "w"))' "$d/d.json" "$blanks" "$d/diag.json"
+  (ulimit -v 2000000; expect 2 cli verify -i "$d/diag.json" 2> "$d/err")
+  grep -q '^ResourceLimit:' "$d/err"
+done
 # one slot past Python's 4,300-digit int limit is refused on load
 python - "$d/d.json" "$d/huge.json" <<'PY'
 import json, sys

@@ -17,6 +17,7 @@ from frcage import (
 )
 from frcage import cage, cli, design
 from frcage.cli import main
+from frcage.cage import DEFAULT_MAX_EDGES
 from frcage.errors import InvalidDesign
 from conftest import GOLDEN_MOLS_Q3
 import helpers
@@ -453,6 +454,36 @@ def test_env_edge_cap(tmp_path, capsys, monkeypatch):
     # explicit flag wins over the environment
     code, _, _ = run(capsys, "construct", "--q", "2", "--n", "1", "--max-edges", "1000")
     assert code == 0
+
+
+def _diagonal_file(path, v, blanks):
+    """A hand-built table of v one-slot nodes, node g holding chunk g; with
+    blanks, every odd node's slot is null."""
+    payload = json.loads(to_json(build_scaled_cage(2, 1)))
+    payload["header"].update(construction="hand-built", k=1, l=1, num_nodes=v, num_chunks=v)
+    payload["nodes"] = [[None if blanks and g % 2 else g] for g in range(v)]
+    path.write_text(json.dumps(payload))
+
+
+def test_verify_bounds_its_pair_masks_by_the_edge_cap(tmp_path, capsys, monkeypatch):
+    # the masks take about v**2/16 bytes and only the rows bound a hand-built v, so
+    # v**3 > cap**2 is refused before any walk: at cap 64, 16 nodes pass (16**3 == 64**2)
+    # to a verdict and 17 do not, complete or partially filled
+    path = tmp_path / "d.json"
+    monkeypatch.setenv("FRC_MAX_EDGES", "64")
+    for blanks in (False, True):
+        for v, want in ((16, 1), (17, 2)):
+            _diagonal_file(path, v, blanks)
+            code, out, err = run(capsys, "verify", "-i", str(path))
+            assert code == want and err.startswith("ResourceLimit:") == (want == 2), (v, err)
+    # no canonical table is refused at a cap that admits its own edges: v <= l**2 there
+    for q, n in ((2, 1), (2, 3), (3, 2), (4, 1), (7, 1)):
+        sd = build_scaled_cage(q, n, max_edges=DEFAULT_MAX_EDGES)
+        path.write_text(to_json(sd))
+        monkeypatch.setenv("FRC_MAX_EDGES", str(sd.u * sd.k))
+        assert run(capsys, "verify", "-i", str(path))[0] == 0, (q, n)
+        path.write_text(to_json(design.partial_fill(sd, sd.u - 1)))
+        assert run(capsys, "verify", "-i", str(path))[0] == 0, (q, n)
 
 
 def test_over_cap_construct_is_refused_fast(capsys):

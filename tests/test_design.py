@@ -358,6 +358,44 @@ def test_from_json_records_completeness():
         assert sd.is_complete == (not any(None in row for row in sd.nodes)) == ("null" not in text)
 
 
+def test_a_filled_load_records_u_holder_lists():
+    # ids above the largest present one, and a blank id below it, are held by no node
+    full = build_scaled_cage(2, 3)
+    sd = from_json(to_json(partial_fill(full, 100)))
+    assert vars(sd)["x_neighbors"] == full.x_neighbors[:100] + ((),) * 55
+    assert len(sd.x_neighbors) == sd.u == 155
+    gap = helpers.storage_from_rows([[0, 1], [2, None], [4, None]], num_chunks=6, k=1)
+    assert vars(from_json(to_json(gap)))["x_neighbors"] == ((0,), (0,), (1,), (), (2,), ())
+
+
+def test_load_names_row_defects_then_range_then_replicas():
+    # every row's length, slot type and order come before the first row
+    # holding an id out of range, and that before the replica counts
+    payload = json.loads(to_json(build_scaled_cage(2, 2)))  # u = 35
+    rows = payload["nodes"]
+    rows[1][0] = -1  # rows 1 and 4 still ascend
+    rows[4][-1] = 70
+    rows[9][:2] = rows[9][1::-1]
+    rows[12][3] = 1.0
+    del rows[13][-1]
+    steps = [
+        (9, "node 9 does not list its chunk ids in ascending order"),
+        (12, "node 12 has a slot that is neither an integer nor null"),
+        (13, "node 13 has 6 slots, expected 7"),
+        (1, r"row 1 holds an id out of range \[0, 35\)"),
+        (4, r"row 4 holds an id out of range \[0, 35\)"),
+    ]
+    for g, message in steps:
+        with pytest.raises(InvalidDesign, match=f"^{message}$"):
+            from_json(json.dumps(payload))
+        rows[g] = list(GOLDEN_S2315_T[g])
+    rows[4][-1] = 26  # chunk 25 loses a replica to chunk 26
+    with pytest.raises(InvalidDesign, match="^chunk 25 has 2 replicas, expected 3$"):
+        from_json(json.dumps(payload))
+    rows[4][-1] = 25
+    assert from_json(json.dumps(payload)) == build_scaled_cage(2, 2)
+
+
 def test_build_records_ascent_and_completeness():
     for q, n in [(2, 3), (3, 2), (8, 1)]:
         sd = build_scaled_cage(q, n)

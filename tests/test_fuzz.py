@@ -18,6 +18,7 @@ unseeded, to 1.0, "1", [1], True or False must raise one from every
 such function.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -40,6 +41,7 @@ from frcage import (
     to_json,
     verify_design,
 )
+from frcage import design
 from frcage.cage import CONSTRUCTION
 from frcage.cli import main
 from frcage.errors import FrcageError
@@ -180,20 +182,29 @@ def _run(capsys, *argv):
     return code, out
 
 
-@pytest.mark.parametrize("q, n", DESIGNS)
-def test_mutants_fail_named_and_never_pass_falsely(q, n, tmp_path, capsys):
+def _file_mutants(q, n):
+    """The seeded corpus of design-file mutants: yields (base, payload,
+    node, u_tilde), where base is the complete or the filled (q, n)
+    payload that was mutated, and node and u_tilde are the arguments
+    for repair and fill."""
     rng = random.Random(7000 + 10 * q + n)
     full = build_scaled_cage(q, n)
     u_tilde = rng.randrange(chunks_per_iteration(q, n - 1) + 1, full.u)
     bases = [json.loads(to_json(sd)) for sd in (full, partial_fill(full, u_tilde))]
-    path, out_path = tmp_path / "m.json", tmp_path / "out.json"
-    verdicts, failures = set(), 0
     for t in range(MUTANTS):
         base = bases[t % 2]
         payload = json.loads(json.dumps(base))
         kinds = ORDERED if t % 4 >= 2 else MUTATIONS
         for mutate in rng.sample(kinds, rng.choice([1, 1, 2, 3])):
             mutate(rng, payload)
+        yield base, payload, str(rng.randrange(len(payload["nodes"]) + 1)), u_tilde
+
+
+@pytest.mark.parametrize("q, n", DESIGNS)
+def test_mutants_fail_named_and_never_pass_falsely(q, n, tmp_path, capsys):
+    path, out_path = tmp_path / "m.json", tmp_path / "out.json"
+    verdicts, failures = set(), 0
+    for base, payload, node, u_tilde in _file_mutants(q, n):
         path.write_text(json.dumps(payload))
 
         code, out = _run(capsys, "verify", "-i", str(path))
@@ -205,12 +216,97 @@ def test_mutants_fail_named_and_never_pass_falsely(q, n, tmp_path, capsys):
             assert passed == (code == 0)
             if passed:
                 assert _sound(payload, base["header"]) == (report["complete"], True), payload
-        node = str(rng.randrange(len(payload["nodes"]) + 1))
         _run(capsys, "repair", "-i", str(path), "--node", node)
         _run(capsys, "fill", "-i", str(path), "--chunks", str(u_tilde), "-o", str(out_path))
         _run(capsys, "expand", "-i", str(path), "-o", str(out_path), "--max-edges", "5000")
     assert verdicts == {0, 1, 2}
     assert failures >= MIN_VERDICT_FAILURES
+
+
+def _edge_ids(base):
+    """Copies of base with -1 in a row's first present slot, or u or 2u in
+    its last, so the row still ascends: in the first, a middle and the
+    last row that holds a chunk."""
+    u = base["header"]["num_chunks"]
+    rows = [g for g, row in enumerate(base["nodes"]) if any(c is not None for c in row)]
+    for g in (rows[0], rows[len(rows) // 2], rows[-1]):
+        present = [i for i, c in enumerate(base["nodes"][g]) if c is not None]
+        for value, i in ((-1, present[0]), (u, present[-1]), (2 * u, present[-1])):
+            payload = json.loads(json.dumps(base))
+            payload["nodes"][g][i] = value
+            yield payload
+
+
+def _load_corpus(q, n):
+    """The file mutants, then the edge-id copies of the complete and of
+    the filled base."""
+    corpus = list(_file_mutants(q, n))
+    payloads = [payload for _, payload, _, _ in corpus]
+    for base in (corpus[0][0], corpus[1][0]):
+        payloads += _edge_ids(base)
+    return payloads
+
+
+def _load_and_lazy_index(payload):
+    """(outcome, lazy) for one file: outcome is the load's error message,
+    or the index the load recorded; lazy is the same for the index a
+    _replace'd copy of the parsed table builds on first use.  None where
+    the header is refused, or where the load stops before the index."""
+    try:
+        parsed = design._parse(json.dumps(payload))
+    except FrcageError:
+        return None, None
+    try:
+        lazy = parsed._replace().x_neighbors
+    except FrcageError as exc:
+        lazy = str(exc)
+    try:
+        design._validate(parsed)
+    except FrcageError as exc:
+        if "x_neighbors" not in vars(parsed):
+            return (str(exc) if "out of range" in str(exc) else None), lazy
+    return vars(parsed)["x_neighbors"], lazy
+
+
+@pytest.mark.parametrize("q, n", DESIGNS)
+def test_a_load_records_the_index_a_lazy_build_gives(q, n):
+    # the load builds the index from the rows it has just checked, the
+    # lazy path from rows no load checked: same holders, same first bad row
+    indexed = refused = 0
+    for payload in _load_corpus(q, n):
+        outcome, lazy = _load_and_lazy_index(payload)
+        if outcome is None:
+            continue
+        assert outcome == lazy, payload
+        if isinstance(outcome, str):
+            refused += 1
+            continue
+        present = [[c for c in row if c is not None] for row in payload["nodes"]]
+        assert outcome == helpers.holders_from_rows(present, payload["header"]["num_chunks"])
+        indexed += 1
+    assert indexed >= 40 and refused >= 2 * 3 * 3
+
+
+# sha256 of from_json's outcome on each file of _load_corpus, one line per file: the
+# error's name and message, or "ok".  Pinned so that every load message,
+# and which of a file's defects it names first, stays as it is.
+LOAD_OUTCOMES_SHA256 = {
+    (2, 3): "96364ebb0dab441cb8579df571c07ca574a5fab37423af5ce2560c31accaffe5",
+    (3, 2): "75e0bc460ce2c2dcf967a3130be31c87b34604118b0ba2fa88caa6d325320688",
+    (4, 1): "26cd4914a6a838f84e4ee8f51713c8b91b461f48c6a909e28b295ef58a9fd67d",
+}
+
+
+@pytest.mark.parametrize("q, n", DESIGNS)
+def test_load_messages_and_their_order_are_pinned(q, n):
+    lines = []
+    for payload in _load_corpus(q, n):
+        try:
+            from_json(json.dumps(payload))
+            lines.append("ok")
+        except FrcageError as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LOAD_OUTCOMES_SHA256[q, n]
 
 
 def test_sound_oracle_reads_the_rows():

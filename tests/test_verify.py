@@ -12,6 +12,7 @@ from frcage import (
     BlockCollection,
     InvalidDegrees,
     InvalidDesign,
+    InvalidParameter,
     StorageDesign,
     build_scaled_cage,
     check_partial_invariants,
@@ -506,8 +507,9 @@ def test_out_of_range_ids_raise_on_either_side_of_the_bit_table_cutoff():
         assert check_steiner_exact(BlockCollection(v, ((0, 1),))) == (False, (0, 2, 0))
     with pytest.raises(InvalidDesign, match=r"not an id in \[0, -1\)"):
         check_steiner_exact(BlockCollection(-1, ((0, 1),)))
-    assert check_steiner_exact(BlockCollection(3.0, ())) == (False, (0, 1, 0))
-    assert check_steiner_exact(BlockCollection(True, ())) == (True, None)
+    for v in (3.0, True):
+        with pytest.raises(InvalidParameter, match="num_elements must be an integer"):
+            check_steiner_exact(BlockCollection(v, ()))
 
 
 class _NoLargestIdScan:
@@ -520,9 +522,13 @@ def test_steiner_scans_for_the_largest_id_only_above_the_cutoff(monkeypatch):
     monkeypatch.setattr(verify_mod, "chain", _NoLargestIdScan)
     assert check_steiner_exact(BlockCollection(7, tuple(map(tuple, GOLDEN_S237)))) == (True, None)
     assert check_steiner_exact(BlockCollection(2048, ((0, 1),))) == (False, (0, 2, 0))
-    # more elements, or a num_elements that is no int in [0, 2048], still take the scan
-    for v in (2049, 3.0, True, -1):
+    # more elements, or a negative num_elements, still take the scan
+    for v in (2049, -1):
         with pytest.raises(AssertionError, match="largest-id scan"):
+            check_steiner_exact(BlockCollection(v, ((0, 1),)))
+    # a num_elements that is no int is refused before the scan
+    for v in (3.0, True):
+        with pytest.raises(InvalidParameter, match="num_elements must be an integer"):
             check_steiner_exact(BlockCollection(v, ((0, 1),)))
 
 
