@@ -112,8 +112,8 @@ class StorageDesign(namedtuple(
     construction, records the first two as True.  On any other table
     they are computed on first use: rows_ascend checks every slot's
     type, and building x_neighbors computes it first, then range-checks
-    each row by its two ends if the rows ascend, else by its min and
-    max.  A slot that is neither an int nor None (True and 1.0
+    each row by its two ends, on sorted rows if they do not ascend
+    (sorting moves no holder).  A slot that is neither an int nor None (True and 1.0
     included), or a chunk id outside [0, u), raises InvalidDesign.
     """
 
@@ -148,10 +148,10 @@ class StorageDesign(namedtuple(
         (empty for a chunk blanked by partial fill).  Built on first use
         and kept for the life of the design; a chunk id outside [0, u)
         raises InvalidDesign."""
-        ends = self.rows_ascend  # recorded by a load or build; else this checks every slot's type
+        ascend = self.rows_ascend  # recorded by a load or build; else this checks every slot's type
         nodes = self.nodes
         rows = nodes if self.is_complete else [[c for c in r if c is not None] for r in nodes]
-        return _index(rows, self.u, ends)
+        return _index(rows if ascend else list(map(sorted, rows)), self.u)
 
 
 _SLOT_TYPES = {int, type(None)}
@@ -179,16 +179,16 @@ def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, out))
 
 
-def _index(rows, u: int, ascend: bool) -> tuple[tuple[int, ...], ...]:
-    """x_neighbors of blank-free int rows.  Ids are range-checked by each
-    row's first and last entry when the rows ascend, else by its min and
-    max; the first row holding an id outside [0, u) raises InvalidDesign.
-    Ids above the largest present one get no holder list of their own."""
+def _index(rows, u: int) -> tuple[tuple[int, ...], ...]:
+    """x_neighbors of blank-free int rows that ascend.  Ids are
+    range-checked by each row's first and last entry; the first row
+    holding an id outside [0, u) raises InvalidDesign.  Ids above the
+    largest present one get no holder list of their own."""
     full = list(filter(None, rows))
-    lo = min(map(itemgetter(0) if ascend else min, full), default=0)
-    hi = max(map(itemgetter(-1) if ascend else max, full), default=-1)
+    lo = min(map(itemgetter(0), full), default=0)
+    hi = max(map(itemgetter(-1), full), default=-1)
     if lo < 0 or hi >= u:
-        g = next(g for g, r in enumerate(rows) if r and (min(r) < 0 or max(r) >= u))
+        g = next(g for g, r in enumerate(rows) if r and (r[0] < 0 or r[-1] >= u))
         raise InvalidDesign(f"row {g} holds an id out of range [0, {u})")
     return _transpose(rows, hi + 1) + ((),) * (u - hi - 1)
 

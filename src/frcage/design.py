@@ -192,19 +192,20 @@ def check_partial_invariants(sd: StorageDesign):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _int(x):
-    """Header integers must be JSON integers; true and 2.9 are refused."""
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
+def _typed(x, kind=int):
+    """x when it is a JSON value of exactly this kind: true and 2.9 are
+    no integer, and 1 and ["x"] are no string."""
+    if type(x) is not kind:
+        raise TypeError(f"expected {'an integer' if kind is int else 'a string'}, got {x!r}")
     return x
 
 
-# JSON header key -> (StorageDesign field, parser); "field" holds
+# JSON header key -> (StorageDesign field, kind); "field" holds
 # field_meta._asdict() next to them.
 _HEADER = {
     "version": ("version", str), "construction": ("construction", str),
-    "q": ("q", _int), "n": ("n", _int), "k": ("k", _int), "l": ("l", _int),
-    "num_nodes": ("v", _int), "num_chunks": ("u", _int),
+    "q": ("q", int), "n": ("n", int), "k": ("k", int), "l": ("l", int),
+    "num_nodes": ("v", int), "num_chunks": ("u", int),
 }
 
 
@@ -233,11 +234,11 @@ def _parse(text: str | bytes) -> StorageDesign:
     try:
         header = payload["header"]
         fmeta = header["field"]
-        fields = {name: parse(header[key]) for key, (name, parse) in _HEADER.items()}
+        fields = {name: _typed(header[key], kind) for key, (name, kind) in _HEADER.items()}
         nodes = tuple(map(tuple, payload["nodes"]))
         field_meta = FieldMeta(
-            p=_int(fmeta["p"]), m=_int(fmeta["m"]),
-            modulus=tuple(map(_int, fmeta["modulus"])), primitive=_int(fmeta["primitive"]),
+            p=_typed(fmeta["p"]), m=_typed(fmeta["m"]),
+            modulus=tuple(map(_typed, fmeta["modulus"])), primitive=_typed(fmeta["primitive"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDesign(f"malformed design payload: {exc}") from exc
@@ -261,7 +262,7 @@ def _validate(sd: StorageDesign) -> None:
             raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
         rows.append(present)
     sd.__dict__.update(rows_ascend=True, is_complete=sum(map(len, rows)) == sd.v * sd.l,
-                       x_neighbors=_index(rows, sd.u, True))
+                       x_neighbors=_index(rows, sd.u))
     bad = _replica_defect(sd)
     if bad is not None:
         raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")

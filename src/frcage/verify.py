@@ -19,7 +19,7 @@ from itertools import chain
 from operator import mul
 
 from .cage import BlockCollection, StorageDesign, _resolve_max_edges
-from .errors import InvalidDegrees, InvalidDesign, InvalidParameter, ResourceLimit
+from .errors import FrcageError, InvalidDegrees, InvalidDesign, InvalidParameter, ResourceLimit
 
 __all__ = [
     "BoundPair",
@@ -61,14 +61,25 @@ def _cover_walk(blocks, num_elements: int):
     the blocks holding a, so popcount - 1 summed over the elements seen
     is twice the distinct pairs covered: 2*pairs exactly when once holds.
 
+    The masks take about num_elements**2 / 16 bytes, so more than
+    cap**(2/3) elements raise ResourceLimit before any mask is built,
+    the cap read as _resolve_max_edges reads it.  That refuses no
+    canonical table within the cap: there v = 1 + q*l and
+    l*(l - q) >= 1, so v <= l**2 and v**3 <= (v*l)**2, the square of
+    its edge count.  The default cap admits 10,000 elements, about
+    6 MiB of masks.
+
     On at most _BIT_TABLE_MAX elements, bit a comes from a table built
     per walk: timed alone, it beat 1 << a by 11-18% on every design of
-    that size, but lost on (61,1), (64,1) and larger.  The cutoff also
-    bounds memory: the table takes about v**2/16 bytes beside masks of
-    twice that, 0.35 MiB at 2,048 elements but 278 MiB on (256,1).  It
-    is padded with num_elements Nones, so any id outside [0, num_elements)
-    raises (TypeError from a None, else IndexError), as 1 << a or masks[a]
-    do on the shift path; no negative id reads a bit from the other end."""
+    that size, but lost on (61,1), (64,1) and larger.  The table takes
+    about v**2/16 bytes more, 0.35 MiB at 2,048 elements.  It is padded
+    with num_elements Nones, so any id outside [0, num_elements) raises
+    (TypeError from a None, else IndexError), as 1 << a or masks[a] do
+    on the shift path; no negative id reads a bit from the other end."""
+    cap = _resolve_max_edges(None)
+    if num_elements**3 > cap**2:
+        raise ResourceLimit(f"pair masks on {num_elements} elements need v**3 <= cap**2, "
+                            f"cap is {cap}")
     masks = [0] * num_elements
     if num_elements <= _BIT_TABLE_MAX:
         bit = [1 << a for a in range(num_elements)] + [None] * num_elements
@@ -121,17 +132,7 @@ def _first_repeat(blocks, num_elements: int):
     """(c0, a, c, b) for the first pair seen twice, scanning the blocks
     in order and each sorted block's pairs a <= b in combinations
     order: c is the block where (a, b) repeats and c0 <= c the first
-    block holding it.  None when no pair repeats.
-
-    The masks take about num_elements**2 / 16 bytes, so more than
-    cap**(2/3) elements raise ResourceLimit before any walk, the cap
-    read as _resolve_max_edges reads it.  That refuses no canonical
-    table within the cap: there v <= l**2, so v**3 <= (v*l)**2, the
-    square of its edge count."""
-    cap = _resolve_max_edges(None)
-    if num_elements**3 > cap**2:
-        raise ResourceLimit(f"pair masks on {num_elements} elements need v**3 <= cap**2, "
-                            f"cap is {cap}")
+    block holding it.  None when no pair repeats."""
     if _cover_walk(blocks, num_elements)[0]:
         return None
     for c, a, hits in _pair_walk(blocks, [0] * num_elements):
@@ -162,38 +163,33 @@ def check_steiner_exact(bc: BlockCollection):
     one block; otherwise (False, (a, b, count)) for the first bad pair
     in sorted order.  An element that is not an id in [0, num_elements)
     raises InvalidDesign, and a num_elements that is not an int (bool
-    included) raises InvalidParameter before any block is read.  Masks
-    stay at most 2,048 ints on at most 2,048 elements; above that,
-    memory follows the largest id, not num_elements."""
-    v = n = bc.num_elements
+    included) raises InvalidParameter before any block is read."""
+    v = bc.num_elements
     if type(v) is not int:
         raise InvalidParameter(f"num_elements must be an integer, got {v!r}")
     try:
-        # on at most _BIT_TABLE_MAX elements, the walk on its padded table raises on a bad id
-        if not 0 <= v <= _BIT_TABLE_MAX:
-            top = max(chain.from_iterable(bc.blocks), default=-1)
-            if top >= v:  # before 1 << id, in C
-                raise IndexError
-            # When n < v, element n - 1 lies in no block, so pair (0, n - 1)
-            # is bad and the first bad pair lies below n.
-            n = min(v, max(top + 2, 2))
-        if _cover_walk(bc.blocks, n) == (True, v * (v - 1) // 2):
+        # off the walk's padded table (0 <= v <= _BIT_TABLE_MAX), a C scan refuses ids >= v first
+        if not 0 <= v <= _BIT_TABLE_MAX and max(chain.from_iterable(bc.blocks), default=-1) >= v:
+            raise IndexError
+        if _cover_walk(bc.blocks, v) == (True, v * (v - 1) // 2):
             return True, None
+    except FrcageError:  # an FRC_MAX_EDGES that is no integer, not a bad id
+        raise
     except (IndexError, TypeError, ValueError) as exc:
         raise InvalidDesign(f"a block holds an element that is not an id in [0, {v})") from exc
     # the cover walk went through every element, so none can raise here
-    masks, dup = [0] * n, [0] * n
+    masks, dup = [0] * v, [0] * v
     for _, a, hits in _pair_walk(bc.blocks, masks):
         dup[a] |= hits
-    full = (1 << n) - 1
-    for a in range(n):
+    full = (1 << v) - 1
+    for a in range(v):
         bad = (dup[a] | ~masks[a]) & (full >> (a + 1) << (a + 1))
         if bad:
             b = (bad & -bad).bit_length() - 1
             return False, (a, b, sum(blk.count(a) * blk.count(b) for blk in bc.blocks))
     # Every pair of distinct elements is covered once; a block that
     # repeats an element still makes the collection no Steiner system.
-    for a in range(n):
+    for a in range(v):
         if masks[a] >> a & 1:
             return False, (a, a, sum(blk.count(a) * (blk.count(a) - 1) // 2 for blk in bc.blocks))
     raise AssertionError("cover walk and witness walk disagree")  # unreachable

@@ -102,8 +102,16 @@ grep -q '^InvalidDesign:' "$d/err"
 # verify refuses it on load too, naming the node
 expect 2 cli verify -i "$d/unsorted.json" 2> "$d/err"
 grep -q '^InvalidDesign: node' "$d/err"
-# check_steiner_exact's memory follows the largest id, not num_elements
-(ulimit -v 2000000; python -c 'from frcage import BlockCollection, check_steiner_exact; assert check_steiner_exact(BlockCollection(10**9, ((0, 1),))) == (False, (0, 2, 0))')
+# check_steiner_exact's pair masks follow num_elements, so 10**9 elements are
+# refused on the edge cap before any mask is built, sparse blocks or not
+(ulimit -v 2000000; python -c '
+from frcage import BlockCollection, ResourceLimit, check_steiner_exact
+for blocks in ((0, 1),), ((0, 10**9 - 1),):
+    try:
+        check_steiner_exact(BlockCollection(10**9, blocks))
+    except ResourceLimit:
+        continue
+    raise SystemExit(f"no ResourceLimit for {blocks}")')
 # a huge id is refused, not built into a bitmask, on both sides of the walk's
 # 2,048-element bit-table cutoff (the table refuses it at 2,048, a scan at 2,049)
 (ulimit -v 2000000; python -c '

@@ -540,6 +540,19 @@ def test_header_must_match_q_and_n(tmp_path, capsys, monkeypatch):
         assert code == 2 and err.startswith("InvalidDesign:"), key
 
 
+def test_header_strings_are_not_coerced(tmp_path, capsys):
+    # "version": 1 used to load, verify and be written back by expand as "1"
+    path = tmp_path / "d.json"
+    for key, value in (("version", 1), ("construction", ["layered-mols-expansion"])):
+        payload = json.loads(to_json(build_scaled_cage(2, 1)))
+        payload["header"][key] = value
+        path.write_text(json.dumps(payload))
+        for argv in (["verify"], ["expand", "-o", str(tmp_path / "out.json")]):
+            code, out, err = run(capsys, *argv, "-i", str(path))
+            assert (code, out) == (2, "") and err.startswith("InvalidDesign:"), (key, argv)
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_repair_has_no_policy_flag(tmp_path, capsys):
     path = tmp_path / "d.json"
     run(capsys, "construct", "--q", "2", "--n", "1", "-o", str(path))

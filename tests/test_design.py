@@ -644,6 +644,20 @@ def test_from_json_checks_header_against_q_and_n(key, value, error):
         from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("version", 1), ("version", None), ("version", ["1"]),
+    ("construction", ["layered-mols-expansion"]), ("construction", 0), ("construction", True),
+])
+def test_from_json_header_strings_must_be_json_strings(key, value):
+    # str() would take 1 for the canonical "1" and name a table "['layered-mols-expansion']"
+    built = build_scaled_cage(2, 1)
+    for sd in (built, replace(built, construction="hand-built")):
+        payload = json.loads(to_json(sd))
+        payload["header"][key] = value
+        with pytest.raises(InvalidDesign, match="malformed design payload: expected a string"):
+            from_json(json.dumps(payload))
+
+
 def test_from_json_header_q_must_be_a_prime_power():
     # q = 6, n = 1 asks for k = l = 7 over 43 nodes and 43 chunks
     payload = json.loads(to_json(build_scaled_cage(2, 1)))

@@ -13,6 +13,7 @@ from frcage import (
     InvalidDegrees,
     InvalidDesign,
     InvalidParameter,
+    ResourceLimit,
     StorageDesign,
     build_scaled_cage,
     check_partial_invariants,
@@ -227,14 +228,37 @@ def test_steiner_block_repeating_an_element():
     assert check_steiner_exact(BlockCollection(7, blocks)) == (False, (0, 0, 3))
 
 
-def test_steiner_memory_follows_the_largest_id():
-    # element 2 lies in no block, so the walk stops there, not at num_elements
+def test_steiner_refuses_sparse_blocks_over_the_mask_budget(monkeypatch):
+    # the masks follow num_elements, not the largest id: 10**6 elements are over the
+    # default cap's budget, and the refusal comes before any mask is built
+    monkeypatch.delenv("FRC_MAX_EDGES", raising=False)
     tracemalloc.start()
     try:
-        assert check_steiner_exact(BlockCollection(10**6, ((0, 1),))) == (False, (0, 2, 0))
+        with pytest.raises(ResourceLimit, match="pair masks on 1000000 elements"):
+            check_steiner_exact(BlockCollection(10**6, ((0, 1),)))
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
+
+
+def test_every_pair_check_follows_one_mask_budget(monkeypatch):
+    # v**3 <= cap**2: at cap 64, 16 elements reach a verdict (16**3 == 64**2) and 17 do not
+    monkeypatch.setenv("FRC_MAX_EDGES", "64")
+    for v in (16, 17):
+        blocks = tuple((a,) for a in range(v))
+        table = helpers.incidence_from_blocks(blocks, v)
+        checks = (lambda: check_steiner_exact(BlockCollection(v, blocks)),
+                  lambda: girth_at_least_six(table), lambda: check_partial_invariants(table))
+        if v == 16:
+            assert [check() for check in checks] == [(False, (0, 1, 0)), (True, None), (True, {})]
+        else:
+            for check in checks:
+                with pytest.raises(ResourceLimit, match="pair masks on 17 elements"):
+                    check()
+    # a cap that is no integer is named as such, not taken for a bad id
+    monkeypatch.setenv("FRC_MAX_EDGES", "abc")
+    with pytest.raises(InvalidParameter, match="FRC_MAX_EDGES must be an integer"):
+        check_steiner_exact(BlockCollection(3000, ((0, 1),)))
 
 
 def test_verify_design_wide_regular_cage_time():
@@ -407,9 +431,13 @@ def test_witness_parity_on_random_repeats():
     assert repeats > 1000
 
 
-def test_steiner_witness_memory_on_a_long_block():
+def test_steiner_witness_memory_on_a_long_block(monkeypatch):
     # each row's suffix mask is held once: in seen, not also in the row list
     block = tuple(range(20000)) + (0,)
+    monkeypatch.delenv("FRC_MAX_EDGES", raising=False)
+    with pytest.raises(ResourceLimit):  # 20,000**3 is over the default cap squared
+        check_steiner_exact(BlockCollection(20000, (block,)))
+    monkeypatch.setenv("FRC_MAX_EDGES", "3000000")
     tracemalloc.start()
     try:
         assert check_steiner_exact(BlockCollection(20000, (block,))) == (False, (0, 1, 2))
