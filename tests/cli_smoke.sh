@@ -50,6 +50,11 @@ expect 2 cli construct --q 6 --n 1
 expect 0 cli mols --q 3
 expect 2 cli mols --q 6
 expect 0 cli bounds --k 3 --l 7
+# a cap below 1 would refuse every build yet square to a pair budget, so it is refused where it is read
+expect 2 cli construct --q 2 --n 1 --max-edges 0 2> "$d/err"
+grep -q '^InvalidParameter:' "$d/err"
+FRC_MAX_EDGES=-1 expect 2 cli verify -i "$d/d.json" 2> "$d/err"
+grep -q '^InvalidParameter: FRC_MAX_EDGES' "$d/err"
 # a bound that is not an integer prints as a fraction, next to its ceiling
 cli bounds --k 3 --l 5 > "$d/bounds"
 grep -q '"u_min": "55/3"' "$d/bounds"

@@ -117,6 +117,19 @@ def test_resource_limit():
     assert build_scaled_cage(2, 1, max_edges=50).u == 7
 
 
+def test_cap_below_one_is_refused(monkeypatch):
+    # such a cap would refuse every build, yet square to a pair budget of 10,000 elements
+    for cap in (0, -1, -10**6):
+        with pytest.raises(InvalidParameter, match="max_edges must be at least 1"):
+            build_scaled_cage(2, 1, max_edges=cap)
+        with pytest.raises(InvalidParameter, match="max_edges must be at least 1"):
+            expand(build_scaled_cage(2, 1), max_edges=cap)
+    monkeypatch.setenv("FRC_MAX_EDGES", "0")
+    with pytest.raises(InvalidParameter, match="FRC_MAX_EDGES must be at least 1"):
+        build_scaled_cage(2, 1)
+    assert build_scaled_cage(2, 1, max_edges=1000).u == 7  # the argument takes precedence
+
+
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1)])
 def test_blocks_sides_are_mutual_transposes(q, n):
     d = build_scaled_cage(q, n)

@@ -513,6 +513,10 @@ def test_bad_parameters_exit_2_named(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "construct", "--q", "2", "--n", "1")
     assert code == 2 and err.startswith("InvalidParameter:")
 
+    monkeypatch.delenv("FRC_MAX_EDGES")
+    code, out, err = run(capsys, "construct", "--q", "2", "--n", "1", "--max-edges", "0")
+    assert (code, out) == (2, "") and err.startswith("InvalidParameter: max_edges must be")
+
 
 def test_header_must_match_q_and_n(tmp_path, capsys, monkeypatch):
     path = tmp_path / "d.json"

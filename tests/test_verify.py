@@ -259,6 +259,10 @@ def test_every_pair_check_follows_one_mask_budget(monkeypatch):
     monkeypatch.setenv("FRC_MAX_EDGES", "abc")
     with pytest.raises(InvalidParameter, match="FRC_MAX_EDGES must be an integer"):
         check_steiner_exact(BlockCollection(3000, ((0, 1),)))
+    # a cap below 1 refuses every build, so it sets no pair budget either
+    monkeypatch.setenv("FRC_MAX_EDGES", "-1000000")
+    with pytest.raises(InvalidParameter, match="FRC_MAX_EDGES must be at least 1"):
+        check_steiner_exact(BlockCollection(100, ((0, 1),)))
 
 
 def test_verify_design_wide_regular_cage_time():
