@@ -12,11 +12,22 @@ third of loading the (2,8) design).  The cyclic garbage a command does
 make is a fixed handful of objects whatever the design size;
 tests/test_cli.py::test_commands_make_no_cyclic_garbage_that_grows
 guards that.
+
+The script entry (`python -m frcage.cli` and the installed `frcage`)
+is `entry`, which ends the process with `os._exit`.  Interpreter
+teardown only frees memory the kernel reclaims anyway, and it took
+8.5-13.8 ms after each command against 0.8-2.2 ms for `entry`
+(2-vCPU VM, Python 3.11.7).  Nothing is lost: each file a command
+writes is closed before `main` returns, `main` flushes stdout inside
+its `try` (so a closed stdout is an `IOError`, exit 2), and `entry`
+runs the `atexit` callbacks and then flushes both streams.  `main`
+itself returns its exit code, for callers in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import os
@@ -200,7 +211,9 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed stdout is reported like any write error
+        return code
     except FrcageError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -212,5 +225,18 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def entry() -> None:
+    """Run `main` and end the process without teardown (module docstring).
+    A usage error or --help still leaves through argparse's SystemExit."""
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in sys.stdout, sys.stderr:  # after the hooks, as teardown flushes them
+        try:
+            stream.flush()
+        except OSError:  # a closed stdout: main has already reported it
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

@@ -8,6 +8,15 @@ expect() { want=$1; shift; got=0; "$@" > /dev/null || got=$?; test "$got" -eq "$
 d=${1:?usage: cli_smoke.sh TMPDIR}
 expect 0 cli construct --q 2 --n 3 -o "$d/d.json"
 expect 0 cli verify -i "$d/d.json"
+# the process ends with os._exit, so only what main flushed reaches stdout:
+# with stdout block-buffered, as without PYTHONUNBUFFERED, every byte still arrives
+env -u PYTHONUNBUFFERED python -m frcage.cli construct --q 2 --n 3 | cmp - "$d/d.json"
+# and a stdout with no reader is a named error, exit 2, with nothing from teardown
+got=0
+env -u PYTHONUNBUFFERED python -m frcage.cli verify -i "$d/d.json" 2> "$d/err" | (exec 0<&-) || got=$?
+test "$got" -eq 2
+grep -q '^IOError: \[Errno 32\] Broken pipe' "$d/err"
+if grep -q 'Exception ignored' "$d/err"; then exit 1; fi
 expect 0 cli repair -i "$d/d.json" --node 1
 expect 2 cli repair -i "$d/d.json" --node 31 2> "$d/err"
 grep -q '^NodeOutOfRange:' "$d/err"

@@ -6,6 +6,8 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -729,3 +731,67 @@ def _cyclic_garbage(tmp_path, q, n):
 @pytest.mark.parametrize("small, large", [((2, 3), (2, 5)), ((3, 2), (3, 3))], ids=["q2", "q3"])
 def test_commands_make_no_cyclic_garbage_that_grows(small, large, tmp_path):
     assert _cyclic_garbage(tmp_path, *small) == _cyclic_garbage(tmp_path, *large)
+
+
+# -- the script entry --------------------------------------------------------
+# `python -m frcage.cli` ends with os._exit, so only what main flushed
+# reaches stdout.  These runs drop PYTHONUNBUFFERED, so stdout is
+# block-buffered as it is by default.
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _script(*argv, stdout=subprocess.PIPE, code=None):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    args = ["-c", code] if code is not None else ["-m", "frcage.cli", *argv]
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_script_stdout_equals_the_written_file(tmp_path, n):
+    path = tmp_path / "d.json"
+    assert _script("construct", "--q", "2", "--n", str(n), "-o", str(path)).returncode == 0
+    done = _script("construct", "--q", "2", "--n", str(n))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == path.read_bytes()
+
+
+def test_script_exit_codes_and_reports(tmp_path, capsys):
+    path, bad = tmp_path / "d.json", tmp_path / "bad.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    bad.write_text(path.read_text())
+    _corrupt(bad)
+    code, out, _ = run(capsys, "verify", "-i", str(bad))
+    assert code == 1
+    done = _script("verify", "-i", str(bad))
+    assert (done.returncode, done.stdout.decode(), done.stderr) == (1, out, b"")
+    run(capsys, "construct", "--q", "2", "--n", "3", "-o", str(path))
+    done = _script("repair", "-i", str(path), "--node", "31")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"NodeOutOfRange:")
+
+
+def test_script_reports_a_closed_stdout(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "3", "-o", str(path))
+    r, w = os.pipe()
+    os.close(r)  # no reader: the flush of the report fails with EPIPE
+    try:
+        done = _script("verify", "-i", str(path), stdout=w)
+    finally:
+        os.close(w)
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"IOError: [Errno 32] Broken pipe")
+    assert b"Exception ignored" not in done.stderr
+
+
+def test_script_runs_atexit_hooks(capsys):
+    # registered before the entry runs; the hook's own unflushed print still reaches stdout
+    done = _script(code="import atexit, runpy, sys\n"
+                        "atexit.register(print, 'hook ran')\n"
+                        "sys.argv = ['frcage', 'bounds', '--k', '3', '--l', '7']\n"
+                        "runpy.run_module('frcage.cli', run_name='__main__')\n")
+    _, out, _ = run(capsys, "bounds", "--k", "3", "--l", "7")
+    assert (done.returncode, done.stdout.decode(), done.stderr) == (0, out + "hook ran\n", b"")

@@ -24,6 +24,14 @@ def test_cli_smoke_script(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+def test_console_script_takes_the_module_entry():
+    # the installed `frcage` command ends the process the way `python -m frcage.cli` does
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1]
+    assert scripts.startswith('frcage = "frcage.cli:entry"\n')
+    last = ast.parse((ROOT / "src" / "frcage" / "cli.py").read_text()).body[-1]
+    assert ast.unparse(last).startswith("if __name__ == '__main__':\n    entry()")
+
+
 # the standard-library modules the CLI needs anyway
 START_UP_BASE = "json, argparse, collections, functools, itertools, operator, os, gc"
 
