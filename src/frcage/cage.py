@@ -104,18 +104,22 @@ class StorageDesign(namedtuple(
     assigned.  Creating one (also by _replace) checks the header in
     O(1) and raises InvalidDesign: there must be v rows, a canonical
     header must match (q, n) (see _check_header), and any other must
-    have 0 <= u <= v * l.  is_complete, rows_ascend and x_neighbors
-    are kept in the instance __dict__, which _replace does not copy.
-    from_json checks the rows and records all three, range-checking
-    chunk ids by each ascending row's first and last id as it builds
-    x_neighbors; build_scaled_cage, whose ids are in range by
-    construction, records the first two as True.  On any other table
-    they are computed on first use: rows_ascend checks every slot's
-    type, and building x_neighbors computes it first, then range-checks
-    each row by its two ends, on sorted rows if they do not ascend
-    (sorting moves no holder).  A slot that is neither an int nor None (True and 1.0
-    included), or a chunk id outside [0, u), raises InvalidDesign.
+    have 0 <= u <= v * l.  is_complete, rows_ascend, x_neighbors and
+    _ids_checked are kept in the instance __dict__, which _replace does
+    not copy.  A load checks the rows and range-checks chunk ids by
+    each ascending row's first and last id; it records the first two
+    and _ids_checked = True, and from_json also records x_neighbors
+    built from those rows.  build_scaled_cage, whose ids are in range
+    by construction, records all but x_neighbors.  _ids_checked is
+    never computed, so it is False on any other table, where the others
+    are computed on first use: rows_ascend checks every slot's type,
+    and building x_neighbors computes it first, then range-checks each
+    row by its two ends, on sorted rows if they do not ascend (sorting
+    moves no holder).  A slot that is neither an int nor None (True and
+    1.0 included), or a chunk id outside [0, u), raises InvalidDesign.
     """
+
+    _ids_checked = False  # a load or build records True in the instance __dict__
 
     def __init__(self, *args, **kwargs) -> None:
         if len(self.nodes) != self.v:
@@ -179,17 +183,24 @@ def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, out))
 
 
-def _index(rows, u: int) -> tuple[tuple[int, ...], ...]:
-    """x_neighbors of blank-free int rows that ascend.  Ids are
-    range-checked by each row's first and last entry; the first row
-    holding an id outside [0, u) raises InvalidDesign.  Ids above the
-    largest present one get no holder list of their own."""
+def _check_ids(rows, u: int) -> int:
+    """The largest id of blank-free int rows that ascend, or -1 if there
+    is none.  Ids are range-checked by each row's first and last entry;
+    the first row holding an id outside [0, u) raises InvalidDesign."""
     full = list(filter(None, rows))
     lo = min(map(itemgetter(0), full), default=0)
     hi = max(map(itemgetter(-1), full), default=-1)
     if lo < 0 or hi >= u:
         g = next(g for g, r in enumerate(rows) if r and (r[0] < 0 or r[-1] >= u))
         raise InvalidDesign(f"row {g} holds an id out of range [0, {u})")
+    return hi
+
+
+def _index(rows, u: int) -> tuple[tuple[int, ...], ...]:
+    """x_neighbors of blank-free int rows that ascend, range-checked by
+    _check_ids.  Ids above the largest present one get no holder list
+    of their own."""
+    hi = _check_ids(rows, u)
     return _transpose(rows, hi + 1) + ((),) * (u - hi - 1)
 
 
@@ -295,7 +306,7 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
         q=q, n=n, k=q + 1, l=l, v=v, u=len(x), nodes=_transpose(x, v), field_meta=FieldMeta.of(f)
     )
     # _transpose lists each node's chunks in id order, and no block repeats a node
-    sd.__dict__.update(rows_ascend=True, is_complete=True)
+    sd.__dict__.update(rows_ascend=True, is_complete=True, _ids_checked=True)
     return sd
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import gc
 import json
 import os
@@ -43,12 +44,14 @@ from .mols import generate_mols
 __all__ = ["main"]
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text: str, path: str | None = None) -> None:
     """Write to stdout, or replace the file at `path` atomically: a
     failed write leaves any existing file as it was and no temporary
     file behind.  A symlink is followed; a device or pipe such as
     /dev/stdout cannot be replaced and is written in place."""
     if path is None:
+        if sys.stdout is None:  # Python started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
         sys.stdout.write(text)
         return
     if os.path.exists(path) and not os.path.isfile(path):
@@ -70,9 +73,15 @@ def _write(text: str, path: str | None) -> None:
         raise
 
 
-def _load(path: str) -> design_mod.StorageDesign:
+def _load(path: str, index: bool = True) -> design_mod.StorageDesign:
+    """The checked design in the file; index=False builds no location index."""
     with open(path, "rb") as fh:  # from_json decodes: JSON text is UTF-8 whatever the locale
-        return design_mod.from_json(fh.read())
+        text = fh.read()
+    if index:
+        return design_mod.from_json(text)
+    sd = design_mod._parse(text)
+    design_mod._validate(sd, index=False)
+    return sd
 
 
 def _cmd_construct(args) -> int:
@@ -90,7 +99,7 @@ def _cmd_verify(args) -> int:
     else:
         ok, witnesses = design_mod.check_partial_invariants(sd)  # json writes tuples as arrays
         report = {"complete": False, "partial_invariants_ok": ok, "witnesses": witnesses}
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if ok else 1
 
 
@@ -102,13 +111,14 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_fill(args) -> int:
-    _write(design_mod.to_json(design_mod.partial_fill(_load(args.input), args.chunks)), args.output)
+    sd = _load(args.input, index=False)
+    _write(design_mod.to_json(design_mod.partial_fill(sd, args.chunks)), args.output)
     return 0
 
 
 def _cmd_repair(args) -> int:
-    plan = design_mod.repair_plan(_load(args.input), args.node)
-    sys.stdout.write(json.dumps(plan._asdict(), sort_keys=True, indent=2) + "\n")
+    plan = design_mod.repair_plan(_load(args.input, index=False), args.node)
+    _write(json.dumps(plan._asdict(), sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -119,7 +129,7 @@ def _cmd_bounds(args) -> int:
                            "u_min_ceil": bp.u_min_ceil}, sort_keys=True, indent=2)
     except ValueError:
         raise ResourceLimit("the bounds have more digits than Python prints") from None
-    sys.stdout.write(text + "\n")
+    _write(text + "\n")
     return 0
 
 
@@ -130,14 +140,14 @@ def _cmd_mols(args) -> int:
         raise ResourceLimit(f"mols for q={args.q} needs {_decimal(args.q**3)} cells, cap is {cap}")
     squares = generate_mols(field_new(args.q))
     if args.json:
-        sys.stdout.write(json.dumps(squares, separators=(",", ":")) + "\n")
+        _write(json.dumps(squares, separators=(",", ":")) + "\n")
         return 0
     out = []
     for m, sq in enumerate(squares):
         out.append(f"L({m}):")
         out.extend(" ".join(str(s) for s in row) for row in sq)
         out.append("")
-    sys.stdout.write("\n".join(out))
+    _write("\n".join(out))
     return 0
 
 
@@ -212,7 +222,8 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         code = args.func(args)
-        sys.stdout.flush()  # here, so that a closed stdout is reported like any write error
+        if sys.stdout is not None:  # flushed here, so a write error is reported like any other
+            sys.stdout.flush()
         return code
     except FrcageError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -232,7 +243,8 @@ def entry() -> None:
     atexit._run_exitfuncs()
     for stream in sys.stdout, sys.stderr:  # after the hooks, as teardown flushes them
         try:
-            stream.flush()
+            if stream is not None:  # None where the fd was closed at start-up
+                stream.flush()
         except OSError:  # a closed stdout: main has already reported it
             pass
     os._exit(code)

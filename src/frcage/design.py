@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain
 from operator import lt
 
@@ -22,6 +22,7 @@ from .cage import (
     FieldMeta,
     StorageDesign,
     _check_edge_cap,
+    _check_ids,
     _index,
     _present,
     build_scaled_cage,
@@ -58,7 +59,8 @@ class RepairPlan(namedtuple("RepairPlan", "failed_node assignments")):
 def chunk_locations(sd: StorageDesign) -> tuple[tuple[int, ...], ...]:
     """For every chunk id, the ascending list of nodes storing it
     (empty for chunks blanked by partial fill): the design's
-    x_neighbors, computed once on first use."""
+    x_neighbors, recorded by from_json or else computed once on first
+    use.  verify and the DOT export read it; fill and repair do not."""
     return sd.x_neighbors
 
 
@@ -102,7 +104,8 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     count and at most at this iteration's; slot positions are kept so
     chunks can be filled in later without moving anything.  Tables this
     library did not build raise NotCanonical; ids outside [0, u), and a
-    row that does not ascend strictly, raise InvalidDesign.
+    row that does not ascend strictly, raise InvalidDesign.  Ids are
+    range-checked as in repair_plan.
     """
     _require_canonical(full)
     if not full.is_complete:
@@ -110,7 +113,8 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     u_prev = chunks_per_iteration(full.q, full.n - 1)
     if type(u_tilde) is not int or not u_prev < u_tilde <= full.u:
         raise OutOfRange(f"u_tilde must be an integer in ({u_prev}, {full.u}], got {u_tilde!r}")
-    full.x_neighbors  # range-checks every id; a load has already built it
+    if not full._ids_checked:
+        full.x_neighbors  # range-checks every id
     if not full.rows_ascend:  # a load has recorded True; from_json would refuse the output
         raise InvalidDesign("partial_fill expects each row in strictly ascending chunk-id order")
     # the ids kept in an ascending row are a prefix, so one bisect finds its end
@@ -124,6 +128,11 @@ def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
     failed node's successor on the chunk's ascending holder ring (the
     next larger holder, else the smallest).
 
+    The rows are scanned cyclically from failed + 1 until every lost
+    chunk has a helper, the first row holding it; no location index is
+    read.  Ids are range-checked first, by building x_neighbors, only
+    on a table that no load or build_scaled_cage checked.
+
     Each holder of a chunk is the successor of exactly one other
     holder, so over all v single-node failures every node
     serves one request per chunk it holds: exactly l on a complete
@@ -134,15 +143,23 @@ def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
     """
     if type(failed) is not int or not 0 <= failed < sd.v:
         raise NodeOutOfRange(f"node id must be an integer in [0, {sd.v}), got {failed!r}")
-    locs = chunk_locations(sd)
+    if not sd._ids_checked:
+        sd.x_neighbors  # range-checks every id and slot type
+    nodes = sd.nodes
+    lost = [c for c in nodes[failed] if c is not None]
+    need, found = set(lost), {}
+    for g in chain(range(failed + 1, sd.v), range(failed)):
+        if not need:
+            break
+        hit = need.intersection(nodes[g])
+        if hit:
+            need -= hit
+            found.update(dict.fromkeys(hit, g))
     assignments, used = [], set()
-    for chunk in sd.nodes[failed]:
-        if chunk is None:
-            continue
-        ring = locs[chunk]
-        if len(ring) < 2:
+    for chunk in lost:
+        helper = found.get(chunk)
+        if helper is None:
             raise NoSurvivingReplica(f"chunk {chunk} has no replica outside node {failed}")
-        helper = ring[(ring.index(failed) + 1) % len(ring)]
         if helper in used:
             raise InvalidDesign(f"node {failed} shares two chunks with node {helper}")
         used.add(helper)
@@ -245,12 +262,13 @@ def _parse(text: str | bytes) -> StorageDesign:
     return StorageDesign(**fields, nodes=nodes, field_meta=field_meta)
 
 
-def _validate(sd: StorageDesign) -> None:
+def _validate(sd: StorageDesign, index: bool = True) -> None:
     """from_json's second stage, the row checks, which record
-    sd.rows_ascend, sd.is_complete and sd.x_neighbors.  Every row's
-    length, slot types and order are checked first; then, from the
-    blank-free rows just checked, _index range-checks each row's first
-    and last chunk id and builds the index; then the replica counts."""
+    sd.rows_ascend, sd.is_complete, sd._ids_checked and, with index,
+    sd.x_neighbors.  Every row's length, slot types and order are
+    checked first; then, from the blank-free rows just checked, each
+    row's first and last chunk id; then the replica counts, read from
+    the index or, without it, from a C-level count of the rows."""
     rows = []
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
@@ -261,9 +279,16 @@ def _validate(sd: StorageDesign) -> None:
                 raise InvalidDesign(f"node {g} repeats a chunk id")
             raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
         rows.append(present)
-    sd.__dict__.update(rows_ascend=True, is_complete=sum(map(len, rows)) == sd.v * sd.l,
-                       x_neighbors=_index(rows, sd.u))
-    bad = _replica_defect(sd)
+    sd.__dict__.update(rows_ascend=True, is_complete=sum(map(len, rows)) == sd.v * sd.l)
+    if index:
+        sd.__dict__["x_neighbors"] = _index(rows, sd.u)
+        bad = _replica_defect(sd)
+    else:
+        _check_ids(rows, sd.u)
+        counts = Counter(chain.from_iterable(rows))
+        bad = None if set(counts.values()) <= {sd.k} else min(
+            (c, m) for c, m in counts.items() if m != sd.k)
+    sd.__dict__["_ids_checked"] = True
     if bad is not None:
         raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")
 

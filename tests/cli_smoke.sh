@@ -17,6 +17,12 @@ env -u PYTHONUNBUFFERED python -m frcage.cli verify -i "$d/d.json" 2> "$d/err" |
 test "$got" -eq 2
 grep -q '^IOError: \[Errno 32\] Broken pipe' "$d/err"
 if grep -q 'Exception ignored' "$d/err"; then exit 1; fi
+# started with fd 1 closed, Python has no sys.stdout: a named error and exit 2, no traceback
+got=0
+cli bounds --k 3 --l 7 >&- 2> "$d/err" || got=$?
+test "$got" -eq 2
+grep -q '^IOError:' "$d/err"
+if grep -q Traceback "$d/err"; then exit 1; fi
 expect 0 cli repair -i "$d/d.json" --node 1
 expect 2 cli repair -i "$d/d.json" --node 31 2> "$d/err"
 grep -q '^NodeOutOfRange:' "$d/err"
@@ -88,6 +94,20 @@ b.sort()
 json.dump(p, open(sys.argv[2], "w"))
 PY
 expect 1 cli verify -i "$d/bad.json"
+# one replica moved to a chunk the row lacks: fill and repair load without the location
+# index and count replicas on their own, and refuse the file as verify does
+python - "$d/d.json" "$d/count.json" <<'PY'
+import json, sys
+p = json.load(open(sys.argv[1]))
+a, b = p["nodes"][7], p["nodes"][8]
+a[0] = next(x for x in b if x not in a)
+a.sort()
+json.dump(p, open(sys.argv[2], "w"))
+PY
+for argv in "repair --node 1" "fill --chunks 100" "verify"; do
+  expect 2 cli $argv -i "$d/count.json" 2> "$d/err"
+  grep -q '^InvalidDesign: chunk 7 has 2 replicas' "$d/err"
+done
 # well-formed but not the canonical table: expand refuses it as foreign
 expect 2 cli expand -i "$d/bad.json" 2> "$d/err"
 grep -q '^NotCanonical:' "$d/err"

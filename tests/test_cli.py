@@ -308,6 +308,89 @@ def test_fill_and_repair_cli(tmp_path, capsys):
     assert plan["assignments"] == [[0, 1], [1, 3], [2, 5]]
 
 
+# -- the index-free load of fill and repair -----------------------------------
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+def test_index_free_load_plans_every_node_by_the_ring(tmp_path, q, n):
+    # through the load fill and repair use, on the complete table and on filled ones
+    built = build_scaled_cage(q, n)
+    u_prev = chunks_per_iteration(q, n - 1)
+    path = tmp_path / "d.json"
+    for sd in (built, design.partial_fill(built, u_prev + 1), design.partial_fill(built, built.u - 1)):
+        path.write_text(to_json(sd))
+        loaded = cli._load(str(path), index=False)
+        assert loaded == sd and "x_neighbors" not in vars(loaded)
+        holders = helpers.holders_from_rows(loaded.nodes, loaded.u)
+        for g in range(loaded.v):
+            plan = design.repair_plan(loaded, g)
+            assert plan.failed_node == g
+            assert plan.assignments == tuple(
+                (c, helpers.ring_successor(holders[c], g)) for c in loaded.nodes[g] if c is not None)
+        assert "x_neighbors" not in vars(loaded)
+
+
+def test_fill_and_repair_load_no_location_index(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "3", "-o", str(path))
+    seen = []
+    for mod, name in ((design, "partial_fill"), (design, "repair_plan"), (cli.verify_mod, "verify_design")):
+        monkeypatch.setattr(mod, name, lambda sd, *a, f=getattr(mod, name): seen.append(sd) or f(sd, *a))
+    assert run(capsys, "fill", "-i", str(path), "--chunks", "100")[0] == 0
+    assert run(capsys, "repair", "-i", str(path), "--node", "5")[0] == 0
+    assert run(capsys, "verify", "-i", str(path))[0] == 0
+    fill, repair, verify = map(vars, seen)
+    for loaded in (fill, repair):  # checked on load, and nothing built the index after it
+        assert "x_neighbors" not in loaded
+        assert (loaded["rows_ascend"], loaded["is_complete"], loaded["_ids_checked"]) == (True,) * 3
+    assert "x_neighbors" in verify  # verify's load is the indexing one
+
+
+def _broken(path, edit):
+    """Write the (2,3) table with one edit to its rows."""
+    payload = json.loads(to_json(build_scaled_cage(2, 3)))
+    edit(payload["nodes"])
+    path.write_text(json.dumps(payload))
+
+
+def _move_replica(rows):
+    # node 7 holds a chunk e of node 8 in place of its first chunk, 7: chunk 7 is left
+    # with 2 replicas and e (12) has 4, so the smaller, 7, is named
+    e = next(c for c in rows[8] if c not in rows[7])
+    rows[7][0] = e
+    rows[7].sort()
+
+
+@pytest.mark.parametrize("edit, first_line", [
+    (_move_replica, "InvalidDesign: chunk 7 has 2 replicas, expected 3"),
+    (lambda rows: rows[6].__setitem__(14, 155), "InvalidDesign: row 6 holds an id out of range [0, 155)"),
+    (lambda rows: rows[5].__setitem__(0, -1), "InvalidDesign: row 5 holds an id out of range [0, 155)"),
+    (lambda rows: rows[4].__setitem__(3, rows[4][2]), "InvalidDesign: node 4 repeats a chunk id"),
+    (lambda rows: rows[0].__setitem__(1, True),
+     "InvalidDesign: node 0 has a slot that is neither an integer nor null"),
+], ids=["replicas", "high", "low", "repeat", "true"])
+def test_fill_repair_and_verify_refuse_a_file_alike(tmp_path, capsys, edit, first_line):
+    path = tmp_path / "bad.json"
+    _broken(path, edit)
+    for argv in (["fill", "--chunks", "100"], ["repair", "--node", "7"], ["repair", "--node", "0"],
+                 ["verify"], ["export", "--format", "csv"]):
+        code, out, err = run(capsys, *argv, "-i", str(path))
+        assert (code, out, err.splitlines()[0]) == (2, "", first_line), argv
+
+
+def test_a_blanked_replica_is_counted_on_every_load(tmp_path, capsys):
+    # on a filled file a blank holds no chunk: blanking one replica of a present chunk
+    # leaves it two, which the load of each command names
+    path = tmp_path / "f.json"
+    payload = json.loads(to_json(design.partial_fill(build_scaled_cage(2, 3), 100)))
+    c = payload["nodes"][7][0]
+    payload["nodes"][7][0] = None
+    path.write_text(json.dumps(payload))
+    first_line = f"InvalidDesign: chunk {c} has 2 replicas, expected 3"
+    for argv in (["fill", "--chunks", "100"], ["repair", "--node", "7"], ["verify"]):
+        code, out, err = run(capsys, *argv, "-i", str(path))
+        assert (code, out, err.splitlines()[0]) == (2, "", first_line), argv
+
+
 def test_fill_out_of_range(tmp_path, capsys):
     path = tmp_path / "d.json"
     run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
@@ -795,3 +878,26 @@ def test_script_runs_atexit_hooks(capsys):
                         "runpy.run_module('frcage.cli', run_name='__main__')\n")
     _, out, _ = run(capsys, "bounds", "--k", "3", "--l", "7")
     assert (done.returncode, done.stdout.decode(), done.stderr) == (0, out + "hook ran\n", b"")
+
+
+def test_script_reports_fd_1_closed_at_start_up(tmp_path, capsys):
+    # Python sets sys.stdout to None when it starts with fd 1 closed
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "3", "-o", str(path))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+
+    def closed(*argv):
+        return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "frcage.cli",
+                               *argv], env=env, stderr=subprocess.PIPE, timeout=120)
+
+    for argv in (["bounds", "--k", "3", "--l", "7"], ["verify", "-i", str(path)],
+                 ["repair", "-i", str(path), "--node", "5"]):
+        done = closed(*argv)
+        assert done.returncode == 2, argv
+        assert done.stderr.startswith(b"IOError: [Errno 9] Bad file descriptor: '<stdout>'"), argv
+        assert b"Traceback" not in done.stderr
+    # a command that writes only to its -o file does not need stdout
+    done = closed("construct", "--q", "2", "--n", "2", "-o", str(tmp_path / "o.json"))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (tmp_path / "o.json").read_text() == to_json(build_scaled_cage(2, 2))

@@ -311,6 +311,26 @@ def test_partial_fill_refuses_ids_out_of_range(bad):
         partial_fill(replace(full, nodes=tuple(map(tuple, rows))), 30)
 
 
+@pytest.mark.parametrize("bad", [-1, 35])
+def test_unchecked_tables_are_range_checked_before_fill_and_repair(bad):
+    # a _replace'd table is unchecked even once its lazy rows_ascend is known: both
+    # functions build x_neighbors first, which names the row; a built table is not
+    # checked again, and neither function builds its index
+    full = build_scaled_cage(2, 2)
+    rows = [list(row) for row in full.nodes]
+    rows[3][0 if bad < 0 else -1] = bad
+    edited = replace(full, nodes=tuple(map(tuple, rows)))
+    assert edited.rows_ascend and not edited._ids_checked
+    with pytest.raises(InvalidDesign, match=r"row 3 holds an id out of range \[0, 35\)"):
+        partial_fill(edited, 30)
+    for g in (3, 0):
+        with pytest.raises(InvalidDesign, match=r"row 3 holds an id out of range \[0, 35\)"):
+            repair_plan(edited, g)
+    partial_fill(full, 30)
+    repair_plan(full, 3)
+    assert full._ids_checked and "x_neighbors" not in vars(full)
+
+
 def test_partial_fill_steiner_on_present_chunks():
     full = build_scaled_cage(2, 2)
     for u_tilde in (8, 12, 21, 34):

@@ -177,6 +177,18 @@ def test_verify_design_missing_edge():
     assert rep.witnesses["degree"] == ("y", 1, 1)
 
 
+def test_verify_design_names_a_bad_chunk_after_good_ones():
+    # the x-side degree witness is the first chunk without k holders, not chunk 0
+    d = build_scaled_cage(2, 1)
+    blocks = list(d.x_neighbors)
+    blocks[5] = blocks[5][:-1]
+    rep = verify_design(replace(d, nodes=helpers.incidence_from_blocks(blocks, 7).nodes))
+    assert rep.witnesses["degree"] == ("x", 5, 2)
+    # a hand-built header with one more chunk than the rows hold: chunk 7 has no holder
+    rep = verify_design(replace(d, construction="hand-built", u=8))
+    assert (rep.degrees_ok, rep.witnesses["degree"]) == (False, ("x", 7, 0))
+
+
 def test_verify_design_names_a_row_that_repeats_a_chunk():
     # Node 1 holds chunk c twice in place of b, and node h, which shares
     # only c with node 1, holds b in place of c: every chunk still has k
@@ -226,6 +238,11 @@ def test_steiner_block_repeating_an_element():
     # the element 0 three times
     blocks = tuple(map(tuple, GOLDEN_S237)) + ((0, 0, 0),)
     assert check_steiner_exact(BlockCollection(7, blocks)) == (False, (0, 0, 3))
+
+
+def test_steiner_names_a_repeated_element_other_than_0():
+    # {0, 1} covers the one pair; the block (1, 1) repeats element 1 once
+    assert check_steiner_exact(BlockCollection(2, ((0, 1), (1, 1)))) == (False, (1, 1, 1))
 
 
 def test_steiner_refuses_sparse_blocks_over_the_mask_budget(monkeypatch):
