@@ -99,27 +99,14 @@ class StorageDesign(namedtuple(
     """A design: header plus node rows.  nodes[g] lists the chunk ids of
     node g; None marks an empty slot left by partial fill.
 
-    A tuple subclass: fields q, n, k, l, v, u, nodes, field_meta,
-    version and construction, in that order; no attribute can be
-    assigned.  Creating one (also by _replace) checks the header in
-    O(1) and raises InvalidDesign: there must be v rows, a canonical
-    header must match (q, n) (see _check_header), and any other must
-    have 0 <= u <= v * l.  is_complete, rows_ascend, x_neighbors and
-    _ids_checked are kept in the instance __dict__, which _replace does
-    not copy.  A load checks the rows and range-checks chunk ids by
-    each ascending row's first and last id; it records the first two
-    and _ids_checked = True, and from_json also records x_neighbors
-    built from those rows.  build_scaled_cage, whose ids are in range
-    by construction, records all but x_neighbors.  _ids_checked is
-    never computed, so it is False on any other table, where the others
-    are computed on first use: rows_ascend checks every slot's type,
-    and building x_neighbors computes it first, then range-checks each
-    row by its two ends, on sorted rows if they do not ascend (sorting
-    moves no holder).  A slot that is neither an int nor None (True and
-    1.0 included), or a chunk id outside [0, u), raises InvalidDesign.
-    """
-
-    _ids_checked = False  # a load or build records True in the instance __dict__
+    A frozen tuple of fields q, n, k, l, v, u, nodes, field_meta,
+    version and construction.  Creating one (also by _replace) checks
+    the header in O(1) and raises InvalidDesign: there must be v rows,
+    a canonical header must match (q, n) (see _check_header), and any
+    other must have 0 <= u <= v * l.  The one rule for the rows: once
+    rows_ascend is known, every slot is an int or None and every id is
+    in [0, u).  A load, build_scaled_cage and partial_fill record it in
+    __dict__, which _replace does not copy; elsewhere it is computed."""
 
     def __init__(self, *args, **kwargs) -> None:
         if len(self.nodes) != self.v:
@@ -142,20 +129,23 @@ class StorageDesign(namedtuple(
 
     @cached_property
     def rows_ascend(self) -> bool:
-        """Each row's present chunk ids ascend strictly, so no row repeats one."""
+        """Each row's present chunk ids ascend strictly, so no row repeats
+        one.  Computing it checks every slot's type, then every id's range,
+        on sorted copies of the rows if they do not ascend."""
         rows = [_present(g, r) for g, r in enumerate(self.nodes)]  # all types, before all() stops
-        return all(all(map(lt, r, r[1:])) for r in rows)
+        ascend = all(all(map(lt, r, r[1:])) for r in rows)
+        _check_ids(rows if ascend else list(map(sorted, rows)), self.u)  # sorting moves no holder
+        return ascend
 
     @cached_property
     def x_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """x_neighbors[c] lists the nodes holding chunk c, ascending
         (empty for a chunk blanked by partial fill).  Built on first use
-        and kept for the life of the design; a chunk id outside [0, u)
-        raises InvalidDesign."""
-        ascend = self.rows_ascend  # recorded by a load or build; else this checks every slot's type
+        and kept for the life of the design."""
+        self.rows_ascend  # checks every slot and id of a table no load or build checked
         nodes = self.nodes
-        rows = nodes if self.is_complete else [[c for c in r if c is not None] for r in nodes]
-        return _index(rows if ascend else list(map(sorted, rows)), self.u)
+        return _transpose(nodes if self.is_complete else
+                          [[c for c in r if c is not None] for r in nodes], self.u)
 
 
 _SLOT_TYPES = {int, type(None)}
@@ -174,8 +164,8 @@ def _present(g: int, row: tuple) -> tuple | list:
 def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
     """out[j] lists the indices i of the rows holding j, ascending
     (rows are walked in order).  Every entry must be an int in
-    [0, size): a build's ids are in range by construction, and _index
-    range-checks a table's rows before it calls this."""
+    [0, size): a build's ids are in range by construction, and a
+    table's are once its rows_ascend is known."""
     out: list[list[int]] = [[] for _ in range(size)]
     for i, row in enumerate(rows):
         for j in row:
@@ -306,7 +296,7 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
         q=q, n=n, k=q + 1, l=l, v=v, u=len(x), nodes=_transpose(x, v), field_meta=FieldMeta.of(f)
     )
     # _transpose lists each node's chunks in id order, and no block repeats a node
-    sd.__dict__.update(rows_ascend=True, is_complete=True, _ids_checked=True)
+    sd.__dict__.update(rows_ascend=True, is_complete=True)
     return sd
 
 

@@ -33,6 +33,7 @@ import gc
 import json
 import os
 import sys
+from contextlib import suppress
 
 from . import design as design_mod
 from . import verify as verify_mod
@@ -73,10 +74,23 @@ def _write(text: str, path: str | None = None) -> None:
         raise
 
 
+def _read(path: str, max_edges: int | None = None) -> bytes:
+    """The file's bytes, or ResourceLimit past 32 per edge of the cap plus
+    64 KiB; read in parts, since read(n) would allocate all n first."""
+    with open(path, "rb") as fh:  # opened first, so a missing file is still an IOError
+        budget = 32 * _resolve_max_edges(max_edges) + 2**16
+        parts, size = [], 0
+        while size <= budget and (part := fh.read(2**22)):
+            parts.append(part)
+            size += len(part)
+    if size > budget:
+        raise ResourceLimit(f"input is over {budget} bytes, 32 per edge of the cap plus 65536")
+    return b"".join(parts)  # from_json decodes: JSON text is UTF-8 whatever the locale
+
+
 def _load(path: str, index: bool = True) -> design_mod.StorageDesign:
     """The checked design in the file; index=False builds no location index."""
-    with open(path, "rb") as fh:  # from_json decodes: JSON text is UTF-8 whatever the locale
-        text = fh.read()
+    text = _read(path)
     if index:
         return design_mod.from_json(text)
     sd = design_mod._parse(text)
@@ -104,8 +118,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    with open(args.input, "rb") as fh:
-        new = design_mod.expand(design_mod._parse(fh.read()), max_edges=args.max_edges)
+    old = design_mod._parse(_read(args.input, args.max_edges))  # the bytes are freed here
+    new = design_mod.expand(old, max_edges=args.max_edges)
     _write(design_mod.to_json(new), args.output)
     return 0
 
@@ -225,11 +239,11 @@ def main(argv=None) -> int:
         if sys.stdout is not None:  # flushed here, so a write error is reported like any other
             sys.stdout.flush()
         return code
-    except FrcageError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"IOError: {exc}", file=sys.stderr)
+    except (FrcageError, OSError) as exc:
+        label = "IOError" if isinstance(exc, OSError) else type(exc).__name__
+        with suppress(OSError):  # best effort: with fd 2 closed, the exit code alone tells
+            if sys.stderr is not None:  # None where fd 2 was closed at start-up
+                print(f"{label}: {exc}", file=sys.stderr)
         return 2
     finally:
         if gc_was_enabled:

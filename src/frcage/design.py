@@ -59,8 +59,8 @@ class RepairPlan(namedtuple("RepairPlan", "failed_node assignments")):
 def chunk_locations(sd: StorageDesign) -> tuple[tuple[int, ...], ...]:
     """For every chunk id, the ascending list of nodes storing it
     (empty for chunks blanked by partial fill): the design's
-    x_neighbors, recorded by from_json or else computed once on first
-    use.  verify and the DOT export read it; fill and repair do not."""
+    x_neighbors, recorded by from_json or else transposed once from the
+    checked rows.  verify and the DOT export read it; fill and repair do not."""
     return sd.x_neighbors
 
 
@@ -103,9 +103,9 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     Valid u_tilde lie strictly above the previous iteration's chunk
     count and at most at this iteration's; slot positions are kept so
     chunks can be filled in later without moving anything.  Tables this
-    library did not build raise NotCanonical; ids outside [0, u), and a
-    row that does not ascend strictly, raise InvalidDesign.  Ids are
-    range-checked as in repair_plan.
+    library did not build raise NotCanonical; bad slots or ids (see
+    rows_ascend) and a row that does not ascend strictly raise
+    InvalidDesign.  The result records rows_ascend: prefixes ascend too.
     """
     _require_canonical(full)
     if not full.is_complete:
@@ -113,14 +113,13 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     u_prev = chunks_per_iteration(full.q, full.n - 1)
     if type(u_tilde) is not int or not u_prev < u_tilde <= full.u:
         raise OutOfRange(f"u_tilde must be an integer in ({u_prev}, {full.u}], got {u_tilde!r}")
-    if not full._ids_checked:
-        full.x_neighbors  # range-checks every id
-    if not full.rows_ascend:  # a load has recorded True; from_json would refuse the output
+    if not full.rows_ascend:  # from_json would refuse the output
         raise InvalidDesign("partial_fill expects each row in strictly ascending chunk-id order")
     # the ids kept in an ascending row are a prefix, so one bisect finds its end
-    nodes = tuple(row[:i] + (None,) * (len(row) - i)
-                  for row in full.nodes for i in [bisect_left(row, u_tilde)])
-    return full._replace(nodes=nodes)
+    part = full._replace(nodes=tuple(row[:i] + (None,) * (len(row) - i)
+                                     for row in full.nodes for i in [bisect_left(row, u_tilde)]))
+    part.__dict__["rows_ascend"] = True
+    return part
 
 
 def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
@@ -130,8 +129,8 @@ def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
 
     The rows are scanned cyclically from failed + 1 until every lost
     chunk has a helper, the first row holding it; no location index is
-    read.  Ids are range-checked first, by building x_neighbors, only
-    on a table that no load or build_scaled_cage checked.
+    read.  Slots and ids are checked first, by rows_ascend, only on a
+    table that no load or build checked.
 
     Each holder of a chunk is the successor of exactly one other
     holder, so over all v single-node failures every node
@@ -143,8 +142,7 @@ def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
     """
     if type(failed) is not int or not 0 <= failed < sd.v:
         raise NodeOutOfRange(f"node id must be an integer in [0, {sd.v}), got {failed!r}")
-    if not sd._ids_checked:
-        sd.x_neighbors  # range-checks every id and slot type
+    sd.rows_ascend  # checks every slot and id of a table no load or build checked
     nodes = sd.nodes
     lost = [c for c in nodes[failed] if c is not None]
     need, found = set(lost), {}
@@ -264,11 +262,11 @@ def _parse(text: str | bytes) -> StorageDesign:
 
 def _validate(sd: StorageDesign, index: bool = True) -> None:
     """from_json's second stage, the row checks, which record
-    sd.rows_ascend, sd.is_complete, sd._ids_checked and, with index,
-    sd.x_neighbors.  Every row's length, slot types and order are
-    checked first; then, from the blank-free rows just checked, each
-    row's first and last chunk id; then the replica counts, read from
-    the index or, without it, from a C-level count of the rows."""
+    sd.x_neighbors (with index), then sd.rows_ascend and sd.is_complete
+    once the ids are in range: a refused expand runs this on the
+    caller's own table.  Each row's length, slot types and order are
+    checked first; then, from the blank-free rows, each row's first and
+    last id; then the replica counts, from the index or a Counter."""
     rows = []
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
@@ -279,7 +277,6 @@ def _validate(sd: StorageDesign, index: bool = True) -> None:
                 raise InvalidDesign(f"node {g} repeats a chunk id")
             raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
         rows.append(present)
-    sd.__dict__.update(rows_ascend=True, is_complete=sum(map(len, rows)) == sd.v * sd.l)
     if index:
         sd.__dict__["x_neighbors"] = _index(rows, sd.u)
         bad = _replica_defect(sd)
@@ -288,16 +285,14 @@ def _validate(sd: StorageDesign, index: bool = True) -> None:
         counts = Counter(chain.from_iterable(rows))
         bad = None if set(counts.values()) <= {sd.k} else min(
             (c, m) for c, m in counts.items() if m != sd.k)
-    sd.__dict__["_ids_checked"] = True
+    sd.__dict__.update(rows_ascend=True, is_complete=sum(map(len, rows)) == sd.v * sd.l)
     if bad is not None:
         raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")
 
 
 def to_csv(sd: StorageDesign) -> str:
     """One row per node: node id followed by its slots (blank = empty)."""
-    sd.rows_ascend  # a load or build recorded it; else this refuses a slot that is no int or None
-    lines = []
-    for g, row in enumerate(sd.nodes):
-        cells = [str(g)] + ["" if c is None else str(c) for c in row]
-        lines.append(",".join(cells))
+    sd.rows_ascend  # checks every slot and id of a table no load or build checked
+    lines = [",".join([str(g), *("" if c is None else str(c) for c in row)])
+             for g, row in enumerate(sd.nodes)]
     return "\n".join(lines) + "\n"

@@ -23,6 +23,20 @@ cli bounds --k 3 --l 7 >&- 2> "$d/err" || got=$?
 test "$got" -eq 2
 grep -q '^IOError:' "$d/err"
 if grep -q Traceback "$d/err"; then exit 1; fi
+# with fd 2 closed a refusal has no report, but still exits 2
+python - "$d/d.json" "$d/repeat.json" <<'PY'
+import json, sys
+p = json.load(open(sys.argv[1]))
+p["nodes"][1][1] = p["nodes"][1][0]
+json.dump(p, open(sys.argv[2], "w"))
+PY
+expect 2 cli repair -i "$d/repeat.json" --node 1 2>&-
+expect 0 cli repair -i "$d/d.json" --node 1 2>&-
+# an endless input is refused at its byte budget, within a ulimit it would pass unbounded
+for cmd in verify expand; do
+  (ulimit -v 1000000; expect 2 cli "$cmd" -i /dev/zero 2> "$d/err")
+  grep -q '^ResourceLimit:' "$d/err"
+done
 expect 0 cli repair -i "$d/d.json" --node 1
 expect 2 cli repair -i "$d/d.json" --node 31 2> "$d/err"
 grep -q '^NodeOutOfRange:' "$d/err"

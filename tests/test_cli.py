@@ -341,7 +341,7 @@ def test_fill_and_repair_load_no_location_index(tmp_path, capsys, monkeypatch):
     fill, repair, verify = map(vars, seen)
     for loaded in (fill, repair):  # checked on load, and nothing built the index after it
         assert "x_neighbors" not in loaded
-        assert (loaded["rows_ascend"], loaded["is_complete"], loaded["_ids_checked"]) == (True,) * 3
+        assert (loaded["rows_ascend"], loaded["is_complete"]) == (True,) * 2
     assert "x_neighbors" in verify  # verify's load is the indexing one
 
 
@@ -569,6 +569,34 @@ def test_verify_bounds_its_pair_masks_by_the_edge_cap(tmp_path, capsys, monkeypa
         assert run(capsys, "verify", "-i", str(path))[0] == 0, (q, n)
         path.write_text(to_json(design.partial_fill(sd, sd.u - 1)))
         assert run(capsys, "verify", "-i", str(path))[0] == 0, (q, n)
+
+
+def test_every_input_is_read_within_a_byte_budget(tmp_path, capsys, monkeypatch):
+    # 32 bytes per edge of the cap plus a 64 KiB header allowance: at the budget a
+    # file loads, one byte past it is refused before it is parsed
+    path = tmp_path / "d.json"
+    text = to_json(build_scaled_cage(2, 2))
+    # expand reads its cap from --max-edges, every other command from FRC_MAX_EDGES
+    for env, argv, cap in (("64", ["repair", "--node", "0"], 64),
+                           ("1", ["expand", "--max-edges", "500"], 500)):
+        monkeypatch.setenv("FRC_MAX_EDGES", env)
+        budget = 32 * cap + 2**16
+        for size, want in ((budget, 0), (budget + 1, 2)):
+            path.write_text(text + " " * (size - len(text)))
+            code, _, err = run(capsys, *argv, "-i", str(path))
+            assert code == want, (argv, size)
+            assert err.startswith("ResourceLimit: input is over") == (want == 2), err
+    # an endless input is refused once it passes the budget
+    monkeypatch.setenv("FRC_MAX_EDGES", "1000")
+    for argv in (["verify"], ["fill", "--chunks", "10"], ["expand", "--max-edges", "1000"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "-i", "/dev/zero")
+        assert (code, out) == (2, "") and err.startswith("ResourceLimit: input is over 97536 bytes")
+        assert time.perf_counter() - t0 < 1.0
+    # the file is opened before the cap is read, so a missing one is still an IOError
+    monkeypatch.setenv("FRC_MAX_EDGES", "abc")
+    code, _, err = run(capsys, "verify", "-i", str(tmp_path / "missing.json"))
+    assert code == 2 and err.startswith("IOError: [Errno 2]")
 
 
 def test_over_cap_construct_is_refused_fast(capsys):
@@ -901,3 +929,27 @@ def test_script_reports_fd_1_closed_at_start_up(tmp_path, capsys):
     done = closed("construct", "--q", "2", "--n", "2", "-o", str(tmp_path / "o.json"))
     assert (done.returncode, done.stderr) == (0, b"")
     assert (tmp_path / "o.json").read_text() == to_json(build_scaled_cage(2, 2))
+
+
+def test_script_exit_codes_with_fd_2_closed(tmp_path, capsys):
+    # the report of a refusal is best effort: with no stderr to print it to,
+    # the exit code alone says the command was refused
+    good, bad = tmp_path / "d.json", tmp_path / "bad.json"
+    run(capsys, "construct", "--q", "2", "--n", "3", "-o", str(good))
+    payload = json.loads(good.read_text())
+    payload["nodes"][1][1] = payload["nodes"][1][0]  # node 1 repeats a chunk
+    bad.write_text(json.dumps(payload))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+
+    def closed(*argv):
+        return subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "frcage.cli",
+                               *argv], env=env, stdout=subprocess.PIPE, timeout=120)
+
+    for argv in (["repair", "-i", str(bad), "--node", "1"], ["construct", "--q", "2", "--n", "99"],
+                 ["verify", "-i", str(tmp_path / "missing.json")]):
+        done = closed(*argv)
+        assert (done.returncode, done.stdout) == (2, b""), argv
+    _, out, _ = run(capsys, "repair", "-i", str(good), "--node", "5")
+    done = closed("repair", "-i", str(good), "--node", "5")
+    assert (done.returncode, done.stdout.decode()) == (0, out)

@@ -27,6 +27,7 @@ from frcage import (
     partial_fill,
     repair_plan,
     to_csv,
+    to_dot,
     to_json,
     verify_design,
 )
@@ -313,14 +314,14 @@ def test_partial_fill_refuses_ids_out_of_range(bad):
 
 @pytest.mark.parametrize("bad", [-1, 35])
 def test_unchecked_tables_are_range_checked_before_fill_and_repair(bad):
-    # a _replace'd table is unchecked even once its lazy rows_ascend is known: both
-    # functions build x_neighbors first, which names the row; a built table is not
-    # checked again, and neither function builds its index
+    # a _replace'd table records no rows_ascend: both functions compute it first,
+    # which range-checks the ids and names the row; a built table is not checked
+    # again, and neither function builds its index
     full = build_scaled_cage(2, 2)
     rows = [list(row) for row in full.nodes]
     rows[3][0 if bad < 0 else -1] = bad
     edited = replace(full, nodes=tuple(map(tuple, rows)))
-    assert edited.rows_ascend and not edited._ids_checked
+    assert "rows_ascend" not in vars(edited)
     with pytest.raises(InvalidDesign, match=r"row 3 holds an id out of range \[0, 35\)"):
         partial_fill(edited, 30)
     for g in (3, 0):
@@ -328,7 +329,47 @@ def test_unchecked_tables_are_range_checked_before_fill_and_repair(bad):
             repair_plan(edited, g)
     partial_fill(full, 30)
     repair_plan(full, 3)
-    assert full._ids_checked and "x_neighbors" not in vars(full)
+    assert vars(full)["rows_ascend"] and "x_neighbors" not in vars(full)
+
+
+def test_a_refused_expand_leaves_the_table_unchecked():
+    # expand's row checks run on the caller's own table and stop at the range
+    # check, so they record nothing: every later call range-checks it again
+    full = build_scaled_cage(2, 2)
+    rows = [list(row) for row in full.nodes]
+    rows[3][-1] = 35  # the row still ascends
+    edited = replace(full, nodes=tuple(map(tuple, rows)))
+    message = r"^row 3 holds an id out of range \[0, 35\)$"
+    with pytest.raises(InvalidDesign, match=message):
+        expand(edited)
+    assert not {"rows_ascend", "x_neighbors"} & set(vars(edited))
+    for call in (lambda: repair_plan(edited, 0), lambda: to_dot(edited),
+                 lambda: to_csv(edited), lambda: partial_fill(edited, 30)):
+        with pytest.raises(InvalidDesign, match=message):
+            call()
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+def test_partial_fill_records_ascent(q, n):
+    # prefixes of ascending rows ascend, so the output is indexed with no row pass,
+    # and its index and invariants are those of its reload
+    full = build_scaled_cage(q, n)
+    for u_tilde in (chunks_per_iteration(q, n - 1) + 1, full.u - 1, full.u):
+        part = partial_fill(full, u_tilde)
+        assert vars(part)["rows_ascend"] is True
+        reloaded = from_json(to_json(part))
+        assert part.x_neighbors == reloaded.x_neighbors
+        assert check_partial_invariants(part) == check_partial_invariants(reloaded) == (True, {})
+
+
+@pytest.mark.parametrize("bad", [-1, 35])
+def test_csv_range_checks_an_unchecked_table(bad):
+    full = build_scaled_cage(2, 2)
+    rows = [list(row) for row in full.nodes]
+    rows[3][0 if bad < 0 else -1] = bad
+    for base in (full, replace(full, construction="hand-built")):
+        with pytest.raises(InvalidDesign, match=r"^row 3 holds an id out of range \[0, 35\)$"):
+            to_csv(replace(base, nodes=tuple(map(tuple, rows))))
 
 
 def test_partial_fill_steiner_on_present_chunks():
