@@ -166,7 +166,7 @@ def _cmd_mols(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    sd = _load(args.input)
+    sd = _load(args.input, index=args.format == "dot")  # to_csv reads no x_neighbors
     if args.format == "csv":
         _write(design_mod.to_csv(sd), args.output)
     else:

@@ -62,6 +62,16 @@ expect 0 cli construct --q 13 --n 1 -o "$d/q13n1.json"
 expect 0 cli expand -i "$d/q13n1.json" -o "$d/q13e.json"
 expect 0 cli construct --q 13 --n 2 -o "$d/q13n2.json"
 cmp "$d/q13e.json" "$d/q13n2.json"
+# k = 14 complete tables are joined from one string per id, a filled one by json.dumps:
+# each file must be the stdlib's compact, key-sorted text of itself
+expect 0 cli fill -i "$d/q13n2.json" --chunks 200 -o "$d/q13f.json"
+python - "$d/q13n2.json" "$d/q13e.json" "$d/q13f.json" <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    text = open(path).read()
+    if text != json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n":
+        raise SystemExit(f"{path} is not canonical JSON")
+PY
 # v = 2,380 nodes: verify's cover walks shift here (over 2,048 elements)
 # and read a bit table on (2,3) above; under -e any exit but 0 fails
 cli verify -i "$d/q13n2.json" > "$d/q13v"

@@ -333,16 +333,20 @@ def test_fill_and_repair_load_no_location_index(tmp_path, capsys, monkeypatch):
     path = tmp_path / "d.json"
     run(capsys, "construct", "--q", "2", "--n", "3", "-o", str(path))
     seen = []
-    for mod, name in ((design, "partial_fill"), (design, "repair_plan"), (cli.verify_mod, "verify_design")):
-        monkeypatch.setattr(mod, name, lambda sd, *a, f=getattr(mod, name): seen.append(sd) or f(sd, *a))
+    for mod, name in ((design, "partial_fill"), (design, "repair_plan"), (design, "to_csv"),
+                      (cli.verify_mod, "verify_design"), (cli, "to_dot")):
+        monkeypatch.setattr(mod, name, lambda sd, *a, f=getattr(mod, name), **kw:  # what the load left
+                            seen.append(dict(vars(sd))) or f(sd, *a, **kw))
     assert run(capsys, "fill", "-i", str(path), "--chunks", "100")[0] == 0
     assert run(capsys, "repair", "-i", str(path), "--node", "5")[0] == 0
+    assert run(capsys, "export", "-i", str(path), "--format", "csv")[0] == 0
     assert run(capsys, "verify", "-i", str(path))[0] == 0
-    fill, repair, verify = map(vars, seen)
-    for loaded in (fill, repair):  # checked on load, and nothing built the index after it
+    assert run(capsys, "export", "-i", str(path), "--format", "dot")[0] == 0
+    fill, repair, csv, verify, dot = seen
+    for loaded in (fill, repair, csv):  # checked on load, and nothing built the index after it
         assert "x_neighbors" not in loaded
         assert (loaded["rows_ascend"], loaded["is_complete"]) == (True,) * 2
-    assert "x_neighbors" in verify  # verify's load is the indexing one
+    assert "x_neighbors" in verify and "x_neighbors" in dot  # their load is the indexing one
 
 
 def _broken(path, edit):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -362,14 +363,68 @@ def test_partial_fill_records_ascent(q, n):
         assert check_partial_invariants(part) == check_partial_invariants(reloaded) == (True, {})
 
 
-@pytest.mark.parametrize("bad", [-1, 35])
-def test_csv_range_checks_an_unchecked_table(bad):
-    full = build_scaled_cage(2, 2)
-    rows = [list(row) for row in full.nodes]
-    rows[3][0 if bad < 0 else -1] = bad
-    for base in (full, replace(full, construction="hand-built")):
-        with pytest.raises(InvalidDesign, match=r"^row 3 holds an id out of range \[0, 35\)$"):
-            to_csv(replace(base, nodes=tuple(map(tuple, rows))))
+@pytest.mark.parametrize("serialize, bad", [(to_csv, -1), (to_csv, 35), (to_json, -1), (to_json, 35)],
+                         ids=["-1", "35", "json--1", "json-35"])
+def test_csv_range_checks_an_unchecked_table(serialize, bad):
+    # to_json too: its k >= 9 encoder indexes a list by id, where -1 would wrap
+    for full in (build_scaled_cage(2, 2), build_scaled_cage(8, 1)):
+        rows = [list(row) for row in full.nodes]
+        rows[3][0 if bad < 0 else -1] = bad if bad < 0 else full.u
+        for base in (full, replace(full, construction="hand-built")):
+            with pytest.raises(InvalidDesign, match=rf"^row 3 holds an id out of range \[0, {full.u}\)$"):
+                serialize(replace(base, nodes=tuple(map(tuple, rows))))
+
+
+def _dumps_reference(sd):
+    """The canonical text through json.dumps alone."""
+    header = {"version": sd.version, "construction": sd.construction, "q": sd.q, "n": sd.n,
+              "k": sd.k, "l": sd.l, "num_nodes": sd.v, "num_chunks": sd.u,
+              "field": sd.field_meta._asdict()}
+    payload = {"header": header, "nodes": sd.nodes}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _hand_built(k, u, rows):
+    base = replace(build_scaled_cage(2, 1), construction="hand-built")
+    return replace(base, k=k, l=max(u, 1), v=len(rows), u=u, nodes=rows)  # so u <= v * l where v > 0
+
+
+def test_to_json_matches_json_dumps_on_both_sides_of_the_cutoff(monkeypatch):
+    # k >= 9 and complete: rows are joined from one string per id; else json.dumps writes them
+    tables = [
+        _hand_built(9, 0, ((), (), ())),
+        _hand_built(9, 12, ((0,), (10,), (11,))),  # one id, with two digits
+        _hand_built(10, 12, ((0, 1), (1, 10), (2, 11))),
+        _hand_built(9, 12, ((), (5,), (0, 11), (1, 2, 3, 10), (10,), ())),
+        _hand_built(9, 0, ()),
+        _hand_built(9, 12, ((0, None), (None,), (3, 11))),
+        _hand_built(8, 12, ((0, 1, 2), (10,), ())),
+    ]
+    for q, n in ((2, 3), (8, 1), (9, 1), (13, 1)):
+        full = build_scaled_cage(q, n)
+        tables += [full, from_json(to_json(full)), partial_fill(full, chunks_per_iteration(q, n - 1) + 1),
+                   partial_fill(full, full.u - 1)]
+    dumped = []
+    real = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append("nodes" in obj) or real(obj, **kw))
+    for sd in tables:
+        dumped.clear()
+        assert to_json(sd) == _dumps_reference(sd), sd
+        assert dumped[0] is not (sd.k >= 9 and sd.v > 0 and sd.is_complete), sd
+    assert {sd.k >= 9 and sd.v > 0 and sd.is_complete for sd in tables} == {True, False}
+
+
+@pytest.mark.parametrize("q, n", [(13, 2), (64, 1)])
+def test_to_json_peak_stays_near_its_text(q, n):
+    # json.dumps peaked at 3.55 times the text on (64,1): it keeps a part per slot
+    sd = build_scaled_cage(q, n)
+    tracemalloc.start()
+    try:
+        text = to_json(sd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text), peak / len(text)
 
 
 def test_partial_fill_steiner_on_present_chunks():

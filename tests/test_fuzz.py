@@ -459,13 +459,14 @@ def test_library_mutants_return_or_raise_named_errors(q, n):
             _returns_or_names_its_error((name, mutant), call)
 
 
-@pytest.mark.parametrize("q, n", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2), (8, 1)])
 @pytest.mark.parametrize("bad", [1.0, "1", [1], True, False],
                          ids=["float", "str", "list", "true", "false"])
 def test_library_slots_that_are_no_integer_raise_named_errors(q, n, bad):
     # 1.0 indexes no list, "1" and [1] order against no int, and True and
     # False index as chunks 1 and 0; put in a first, middle or last slot,
-    # each is a FrcageError, not a TypeError or a chunk id
+    # each is a FrcageError, not a TypeError or a chunk id.  (8,1) has
+    # k = 9, so to_json writes it from a list of digit strings, indexed by id
     built = build_scaled_cage(q, n)
     u_tilde = chunks_per_iteration(q, n - 1) + 1
     for base in (built, replace(built, construction="hand-built")):
@@ -480,7 +481,7 @@ def test_library_slots_that_are_no_integer_raise_named_errors(q, n, bad):
                 ("check_partial_invariants", lambda: check_partial_invariants(sd)),
                 ("expand", lambda: expand(sd)),
                 ("partial_fill", lambda: partial_fill(sd, u_tilde)),
-                ("json", lambda: from_json(to_json(sd))),
+                ("to_json", lambda: to_json(sd)),  # json.dumps would write True as true
                 ("to_csv", lambda: to_csv(sd)),
                 ("to_dot", lambda: to_dot(sd)),
             ] + [("repair_plan", lambda h=h: repair_plan(sd, h)) for h in range(sd.v)]
