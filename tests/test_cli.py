@@ -335,18 +335,20 @@ def test_fill_and_repair_load_no_location_index(tmp_path, capsys, monkeypatch):
     seen = []
     for mod, name in ((design, "partial_fill"), (design, "repair_plan"), (design, "to_csv"),
                       (cli.verify_mod, "verify_design"), (cli, "to_dot")):
-        monkeypatch.setattr(mod, name, lambda sd, *a, f=getattr(mod, name), **kw:  # what the load left
-                            seen.append(dict(vars(sd))) or f(sd, *a, **kw))
+        monkeypatch.setattr(mod, name, lambda sd, *a, f=getattr(mod, name), **kw:
+                            seen.append((sd, dict(vars(sd)))) or f(sd, *a, **kw))
     assert run(capsys, "fill", "-i", str(path), "--chunks", "100")[0] == 0
     assert run(capsys, "repair", "-i", str(path), "--node", "5")[0] == 0
     assert run(capsys, "export", "-i", str(path), "--format", "csv")[0] == 0
     assert run(capsys, "verify", "-i", str(path))[0] == 0
     assert run(capsys, "export", "-i", str(path), "--format", "dot")[0] == 0
     fill, repair, csv, verify, dot = seen
-    for loaded in (fill, repair, csv):  # checked on load, and nothing built the index after it
+    for sd, _ in (fill, repair, csv):  # checked on load, and nothing built the index after it
+        loaded = vars(sd)
         assert "x_neighbors" not in loaded
         assert (loaded["rows_ascend"], loaded["is_complete"]) == (True,) * 2
-    assert "x_neighbors" in verify and "x_neighbors" in dot  # their load is the indexing one
+    # their load is the indexing one; to_dot and verify_design would build it themselves
+    assert "x_neighbors" in verify[1] and "x_neighbors" in dot[1]
 
 
 def _broken(path, edit):

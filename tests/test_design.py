@@ -363,16 +363,24 @@ def test_partial_fill_records_ascent(q, n):
         assert check_partial_invariants(part) == check_partial_invariants(reloaded) == (True, {})
 
 
-@pytest.mark.parametrize("serialize, bad", [(to_csv, -1), (to_csv, 35), (to_json, -1), (to_json, 35)],
-                         ids=["-1", "35", "json--1", "json-35"])
-def test_csv_range_checks_an_unchecked_table(serialize, bad):
-    # to_json too: its k >= 9 encoder indexes a list by id, where -1 would wrap
+def _range_check(serialize, bad):
     for full in (build_scaled_cage(2, 2), build_scaled_cage(8, 1)):
         rows = [list(row) for row in full.nodes]
         rows[3][0 if bad < 0 else -1] = bad if bad < 0 else full.u
         for base in (full, replace(full, construction="hand-built")):
             with pytest.raises(InvalidDesign, match=rf"^row 3 holds an id out of range \[0, {full.u}\)$"):
                 serialize(replace(base, nodes=tuple(map(tuple, rows))))
+
+
+@pytest.mark.parametrize("bad", [-1, 35])
+def test_csv_range_checks_an_unchecked_table(bad):
+    _range_check(to_csv, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 35])
+def test_json_range_checks_an_unchecked_table(bad):
+    # its k >= 9 encoder indexes a list by id, where -1 would wrap
+    _range_check(to_json, bad)
 
 
 def _dumps_reference(sd):
