@@ -99,16 +99,16 @@ class StorageDesign(namedtuple(
     """A design: header plus node rows.  nodes[g] lists the chunk ids of
     node g; None marks an empty slot left by partial fill.
 
-    A frozen tuple of fields q, n, k, l, v, u, nodes, field_meta,
-    version and construction.  Creating one (also by _replace) checks
-    the header in O(1) and raises InvalidDesign: there must be v rows,
-    a canonical header must match (q, n) (see _check_header), and any
-    other must have 0 <= u <= v * l.  The one rule for the rows: once
-    rows_ascend is known, every slot is an int or None and every id is
-    in [0, u).  A load, build_scaled_cage and partial_fill record it in
-    __dict__, which _replace does not copy; elsewhere it is computed."""
+    A frozen tuple.  Creating one (also by _replace) checks it in O(v)
+    and raises InvalidDesign: every field and row must have exactly its
+    type (_check_types), there must be v rows, a canonical header must
+    match (q, n) (_check_header), and any other must have 0 <= u <= v*l.
+    Once rows_ascend is known, every slot is an int or None and every id
+    is in [0, u).  A load, build_scaled_cage and partial_fill record it
+    in __dict__, which _replace does not copy; elsewhere it is computed."""
 
     def __init__(self, *args, **kwargs) -> None:
+        _check_types(self)
         if len(self.nodes) != self.v:
             raise InvalidDesign(f"expected {self.v} nodes, found {len(self.nodes)}")
         if self.construction == CONSTRUCTION:
@@ -194,6 +194,20 @@ def _index(rows, u: int) -> tuple[tuple[int, ...], ...]:
     return _transpose(rows, hi + 1) + ((),) * (u - hi - 1)
 
 
+def _check_types(sd: StorageDesign) -> None:
+    """Each field has exactly its type: json.dumps writes 7.0 and True as 7.0 and true."""
+    fm, strs = sd.field_meta, (sd.version, sd.construction)
+    if type(fm) is not FieldMeta or type(fm.modulus) is not tuple:
+        raise InvalidDesign(f"malformed design payload: expected field metadata, got {fm!r}")
+    ints = sd.q, sd.n, sd.k, sd.l, sd.v, sd.u, fm.p, fm.m, *fm.modulus, fm.primitive
+    for xs, kind, name in (strs, str, "a string"), (ints, int, "an integer"):
+        for x in xs:
+            if type(x) is not kind:
+                raise InvalidDesign(f"malformed design payload: expected {name}, got {x!r}")
+    if type(sd.nodes) is not tuple or not set(map(type, sd.nodes)) <= {tuple}:
+        raise InvalidDesign("malformed design payload: the nodes are no tuple of row tuples")
+
+
 def _check_header(sd: StorageDesign) -> None:
     """A canonical header is fixed by (q, n): k = q+1, l = p_n(q),
     v = p_{n+1}(q), u = chunks_per_iteration(q, n), n >= 1 and
@@ -201,7 +215,7 @@ def _check_header(sd: StorageDesign) -> None:
     q, n, v = sd.q, sd.n, sd.v
     # p_{n+1}(q) exceeds both q and 2**(n+1), so these bounds keep p_n
     # and GF(q) small for any header that could match the row count.
-    if not (type(q) is int is type(n) and 2 <= q < v and 1 <= n < v.bit_length()):
+    if not (2 <= q < v and 1 <= n < v.bit_length()):
         raise InvalidDesign(f"(q={q}, n={n}) cannot describe {v} nodes")
     want = (q + 1, p_n(q, n), p_n(q, n + 1), chunks_per_iteration(q, n))
     if (sd.k, sd.l, v, sd.u) != want:

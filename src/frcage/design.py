@@ -207,21 +207,9 @@ def check_partial_invariants(sd: StorageDesign):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _typed(x, kind=int):
-    """x when it is a JSON value of exactly this kind: true and 2.9 are
-    no integer, and 1 and ["x"] are no string."""
-    if type(x) is not kind:
-        raise TypeError(f"expected {'an integer' if kind is int else 'a string'}, got {x!r}")
-    return x
-
-
-# JSON header key -> (StorageDesign field, kind); "field" holds
-# field_meta._asdict() next to them.
-_HEADER = {
-    "version": ("version", str), "construction": ("construction", str),
-    "q": ("q", int), "n": ("n", int), "k": ("k", int), "l": ("l", int),
-    "num_nodes": ("v", int), "num_chunks": ("u", int),
-}
+# JSON header key -> StorageDesign field; "field" holds field_meta._asdict() next to them.
+_HEADER = {"version": "version", "construction": "construction", "q": "q", "n": "n",
+           "k": "k", "l": "l", "num_nodes": "v", "num_chunks": "u"}
 
 
 def to_json(sd: StorageDesign) -> str:
@@ -230,7 +218,7 @@ def to_json(sd: StorageDesign) -> str:
     and a newline.  Slots and ids are checked first, by rows_ascend, on
     a table no load or build checked."""
     sd.rows_ascend  # json.dumps would write True as true; dec[True] reads 1 and dec[-1] wraps
-    header = {key: getattr(sd, name) for key, (name, _) in _HEADER.items()}
+    header = {key: getattr(sd, name) for key, name in _HEADER.items()}
     header["field"] = sd.field_meta._asdict()
     # Each id is written k times.  From k = 9 its one string (about 56 bytes) costs less
     # than the k slots of text that json.dumps would format one by one (5 to 6.5 bytes each).
@@ -256,8 +244,8 @@ def from_json(text: str | bytes) -> StorageDesign:
 
 
 def _parse(text: str | bytes) -> StorageDesign:
-    """from_json's first stage: the JSON and the O(1) header checks that
-    creating the design runs; the rows are not checked."""
+    """from_json's first stage: the JSON and the checks that creating
+    the design runs (see StorageDesign); the slots are not checked."""
     try:
         payload = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as exc:  # also not UTF-8, too deep, or an int too long
@@ -265,13 +253,10 @@ def _parse(text: str | bytes) -> StorageDesign:
     try:
         header = payload["header"]
         fmeta = header["field"]
-        fields = {name: _typed(header[key], kind) for key, (name, kind) in _HEADER.items()}
+        fields = {name: header[key] for key, name in _HEADER.items()}
         nodes = tuple(map(tuple, payload["nodes"]))
-        field_meta = FieldMeta(
-            p=_typed(fmeta["p"]), m=_typed(fmeta["m"]),
-            modulus=tuple(map(_typed, fmeta["modulus"])), primitive=_typed(fmeta["primitive"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        field_meta = FieldMeta(fmeta["p"], fmeta["m"], tuple(fmeta["modulus"]), fmeta["primitive"])
+    except (KeyError, TypeError) as exc:
         raise InvalidDesign(f"malformed design payload: {exc}") from exc
     return StorageDesign(**fields, nodes=nodes, field_meta=field_meta)
 

@@ -4,7 +4,20 @@
 #   PYTHONPATH=src bash -eo pipefail tests/cli_smoke.sh TMPDIR
 # TMPDIR must exist; the script writes its design files there.
 cli() { python -m frcage.cli "$@"; }
-expect() { want=$1; shift; got=0; "$@" > /dev/null || got=$?; test "$got" -eq "$want" || { echo "exit $got, expected $want: $*"; exit 1; }; }
+# expect CODE CMD...: fail unless CMD exits with CODE.  CMD's stdout is dropped; its stderr is
+# kept, passed on to wherever the caller sent expect's, and fails the script if it holds a
+# Traceback.  Called with fd 2 closed (2>&-), expect runs CMD with fd 2 closed too.
+expect() {
+  want=$1; shift; got=0
+  if : >&2; then
+    "$@" > /dev/null 2> "$d/expect.err" || got=$?
+    cat "$d/expect.err" >&2
+    if grep -q Traceback "$d/expect.err"; then echo "Traceback from: $*"; exit 1; fi
+  else
+    "$@" > /dev/null || got=$?
+  fi
+  test "$got" -eq "$want" || { echo "exit $got, expected $want: $*"; exit 1; }
+}
 d=${1:?usage: cli_smoke.sh TMPDIR}
 expect 0 cli construct --q 2 --n 3 -o "$d/d.json"
 expect 0 cli verify -i "$d/d.json"

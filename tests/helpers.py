@@ -17,6 +17,33 @@ def replace(record, **changes):
     return record._replace(**changes)
 
 
+# Every place of a table that must hold exactly one type: the header
+# fields, the FieldMeta and its members, the first modulus entry, the
+# node tuple and its first row.
+TYPED_PLACES = ("q", "n", "k", "l", "v", "u", "version", "construction", "field_meta",
+                "p", "m", "modulus", "modulus[0]", "primitive", "nodes", "row")
+
+
+def value_at(sd: StorageDesign, place: str):
+    """What sd holds at one of TYPED_PLACES."""
+    fm = sd.field_meta
+    return {**sd._asdict(), **fm._asdict(), "modulus[0]": fm.modulus[0], "row": sd.nodes[0]}[place]
+
+
+def with_value(sd: StorageDesign, place: str, value) -> dict:
+    """sd's fields as a dict, with `value` at one of TYPED_PLACES."""
+    fields, fm = sd._asdict(), sd.field_meta
+    if place in FieldMeta._fields:
+        fields["field_meta"] = fm._replace(**{place: value})
+    elif place == "modulus[0]":
+        fields["field_meta"] = fm._replace(modulus=(value, *fm.modulus[1:]))
+    elif place == "row":
+        fields["nodes"] = (value, *sd.nodes[1:])
+    else:
+        fields[place] = value
+    return fields
+
+
 def naive_no_four_cycles(d: StorageDesign) -> bool:
     """Literal enumeration over all (x, y, x', y') quadruples.
     Quadratic in both sides; keep to designs with |X| <= 40."""

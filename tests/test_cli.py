@@ -858,12 +858,15 @@ def test_commands_make_no_cyclic_garbage_that_grows(small, large, tmp_path):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _script(*argv, stdout=subprocess.PIPE, code=None):
+def _script(*argv, stdout=subprocess.PIPE, code=None, redirect=None):
+    """Run the script entry; `redirect` is a shell redirection such as
+    "<&-" applied to the child, so it starts with that fd closed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
     args = ["-c", code] if code is not None else ["-m", "frcage.cli", *argv]
-    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=120)
+    shell = ["sh", "-c", f'exec "$@" {redirect}', "sh"] if redirect else []
+    return subprocess.run([*shell, sys.executable, *args], env=env, stdout=stdout,
+                          stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -959,3 +962,49 @@ def test_script_exit_codes_with_fd_2_closed(tmp_path, capsys):
     _, out, _ = run(capsys, "repair", "-i", str(good), "--node", "5")
     done = closed("repair", "-i", str(good), "--node", "5")
     assert (done.returncode, done.stdout.decode()) == (0, out)
+
+
+def _every_subcommand(path):
+    """(argv, takes -o) for every subcommand, reading the design file at path."""
+    d = str(path)
+    return [(["construct", "--q", "2", "--n", "2"], True), (["verify", "-i", d], False),
+            (["expand", "-i", d], True), (["fill", "-i", d, "--chunks", "20"], True),
+            (["repair", "-i", d, "--node", "1"], False), (["bounds", "--k", "3", "--l", "7"], False),
+            (["mols", "--q", "3"], False), (["export", "-i", d, "--format", "csv"], True),
+            (["export", "-i", d, "--format", "dot"], True)]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_script_reports_a_full_device(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    with open("/dev/full", "wb") as full:
+        for argv, takes_output in _every_subcommand(path):
+            runs = [_script(*argv, stdout=full)]
+            if takes_output:
+                runs.append(_script(*argv, "-o", "/dev/full"))
+            for done in runs:
+                assert done.returncode == 2, argv
+                assert done.stderr.startswith(b"IOError: [Errno 28]"), (argv, done.stderr)
+                assert b"Traceback" not in done.stderr, argv
+
+
+def test_script_reports_a_directory_as_input(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    for argv, _ in _every_subcommand(tmp_path):
+        if "-i" in argv:
+            done = _script(*argv)
+            assert (done.returncode, done.stdout) == (2, b""), argv
+            assert done.stderr.startswith(b"IOError: [Errno 21]"), (argv, done.stderr)
+            assert b"Traceback" not in done.stderr, argv
+
+
+def test_script_runs_alike_with_fd_0_closed(tmp_path, capsys):
+    # no command reads stdin, so starting without it changes nothing a caller sees
+    path = tmp_path / "d.json"
+    run(capsys, "construct", "--q", "2", "--n", "2", "-o", str(path))
+    for argv, _ in _every_subcommand(path) + [(["repair", "-i", str(path), "--node", "99"], False)]:
+        opened, closed = _script(*argv), _script(*argv, redirect="<&-")
+        assert (closed.returncode, closed.stdout) == (opened.returncode, opened.stdout), argv
+        assert b"Traceback" not in closed.stderr + opened.stderr, argv

@@ -79,8 +79,68 @@ def test_in_memory_header_is_checked():
         StorageDesign(q=2, n=1, k=3, l=3, v=7, u=7, nodes=sd.nodes[1:], field_meta=sd.field_meta)
     # n = 1.0 or True equals 1, but to_json would write it as 1.0 or true
     for changes in ({"q": 2.0}, {"n": 1.0}, {"n": True}):
-        with pytest.raises(InvalidDesign, match="cannot describe"):
+        with pytest.raises(InvalidDesign, match="^malformed design payload: expected an integer"):
             replace(sd, **changes)
+
+
+def _mistyped(value, kind: str):
+    """A value of another type than `value`'s: a float, a bool, the
+    other of int and str (of tuple and list, or FieldMeta and a plain
+    tuple, for a container), or None."""
+    if kind in ("bool", "none"):
+        return True if kind == "bool" else None
+    if type(value) is int:
+        return float(value) if kind == "float" else str(value)
+    if type(value) is str:
+        return 1.0 if kind == "float" else 1
+    if kind == "float":
+        return 1.0
+    return list(value) if type(value) is tuple else tuple(value)
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "swap", "none"])
+@pytest.mark.parametrize("place", helpers.TYPED_PLACES)
+def test_every_place_is_typed_where_the_table_is_made(place, kind):
+    # 2.0 == 2 and True == 1, but json.dumps writes 2.0 and true, which from_json
+    # refuses; so a table holding either is refused when made, not when written
+    canonical = build_scaled_cage(2, 1)
+    hand_built = helpers.storage_from_rows([[0, 1], [0, 2], [1, 2]], num_chunks=3, k=2)
+    for base in (canonical, hand_built):
+        value = helpers.value_at(base, place)
+        bad = _mistyped(value, kind)
+        fields = helpers.with_value(base, place, bad)
+        for make in (lambda: StorageDesign(**fields), lambda: base._replace(**fields)):
+            with pytest.raises(InvalidDesign) as refused:
+                make()
+            if type(value) in (int, str):
+                name = "an integer" if type(value) is int else "a string"
+                assert str(refused.value) == f"malformed design payload: expected {name}, got {bad!r}"
+            else:
+                assert str(refused.value).startswith("malformed design payload: ")
+
+
+def test_a_made_table_is_refused_as_its_file_would_be():
+    # json.dumps writes each of these headers as it is, and from_json refuses the
+    # file; making the table gives the same refusal, in the same words
+    sd = build_scaled_cage(2, 1)
+    hand = replace(sd, construction="hand-built")
+    for base, place, bad in [(sd, "k", 3.0), (sd, "l", 3.0), (sd, "u", 7.0), (sd, "v", 7.0),
+                             (sd, "version", 1), (sd, "construction", 1), (hand, "u", 7.0),
+                             (sd, "p", 2.0), (hand, "primitive", True)]:
+        with pytest.raises(InvalidDesign) as made:
+            StorageDesign(**helpers.with_value(base, place, bad))
+        payload = json.loads(to_json(base))
+        header = payload["header"]
+        key = {"u": "num_chunks", "v": "num_nodes"}.get(place, place)
+        (header["field"] if key in FieldMeta._fields else header)[key] = bad
+        with pytest.raises(InvalidDesign) as loaded:
+            from_json(json.dumps(payload))
+        assert str(made.value) == str(loaded.value), place
+    # containers a load always builds: made by hand, each is refused, not a bare error later
+    for changes in ({"field_meta": None}, {"nodes": 5}, {"nodes": None}, {"nodes": tuple(range(7))},
+                    {"nodes": [list(r) for r in sd.nodes]}):
+        with pytest.raises(InvalidDesign, match="^malformed design payload: "):
+            replace(hand, **changes)
 
 
 def test_records_are_tuples():

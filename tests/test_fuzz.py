@@ -15,7 +15,9 @@ Each library mutant is a table with one header field or one slot
 edited by _replace.  Every public function that takes a
 table must return or raise a FrcageError, within a second.  A slot set,
 unseeded, to 1.0, "1", [1], True or False must raise one from every
-such function.
+such function; the same value in a header field, a field-metadata
+member or a row container must be refused when the table is made,
+unless it has that place's type.
 """
 
 import hashlib
@@ -27,6 +29,8 @@ import pytest
 
 from frcage import (
     FieldMeta,
+    InvalidDesign,
+    StorageDesign,
     build_scaled_cage,
     check_partial_invariants,
     chunks_per_iteration,
@@ -487,3 +491,19 @@ def test_library_slots_that_are_no_integer_raise_named_errors(q, n, bad):
             ] + [("repair_plan", lambda h=h: repair_plan(sd, h)) for h in range(sd.v)]
             for name, call in calls:
                 _returns_or_names_its_error((name, base.construction, g, i), call, must_raise=True)
+        # the same value in every typed place of the header and the containers: a table is
+        # made only where the value has the place's type, every function then returns or
+        # names its error, and to_json writes a file that from_json loads as the same table
+        for place in helpers.TYPED_PLACES:
+            fields = helpers.with_value(base, place, bad)
+            typed = type(bad) is type(helpers.value_at(base, place))
+            for make in (lambda: StorageDesign(**fields), lambda: base._replace(**fields)):
+                try:
+                    sd = make()
+                except InvalidDesign:
+                    assert not typed, place
+                    continue
+                assert typed, place
+                for name, call in _entry_points(random.Random(place), sd):
+                    _returns_or_names_its_error((name, place), call)
+                assert from_json(to_json(sd)) == sd

@@ -10,6 +10,7 @@ import pytest
 
 from frcage import (
     BlockCollection,
+    FieldMeta,
     InvalidDegrees,
     InvalidDesign,
     InvalidParameter,
@@ -70,7 +71,8 @@ def test_bounds_tight_matches_a_fraction_oracle():
             for v in range(max(v_min - 1, 1), v_min + 2):
                 for u in range(max(int(u_min) - 1, 0), min(int(u_min) + 3, v * l + 1)):
                     sd = StorageDesign(q=0, n=0, k=k, l=l, v=v, u=u, nodes=((),) * v,
-                                       field_meta=None, construction="hand-built")
+                                       field_meta=FieldMeta(2, 1, (0, 1), 1),
+                                       construction="hand-built")
                     rep = verify_design(sd)
                     want = l >= k >= 2 and v == v_min and Fraction(u) == u_min
                     assert rep.bounds_tight is want, (k, l, v, u)
