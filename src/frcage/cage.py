@@ -26,6 +26,11 @@ neighbours, so iteration n emits only the new ones: the layer-1
 vertices x_j for p_{n-1}(q) <= j < p_n(q), then, in one pass, the
 layer-3 groups of the blocks new since iteration n-1 (chunk ids >=
 u_{n-2}) in sorted block order.  Growing n renumbers or moves nothing.
+
+The build deals each round's ids straight into the node rows: block
+member g_j gives child c (node 1 + g_j*q + c) the group rows whose
+column j reads c, in the ascending order of mols.column_orders.  Only
+rounds whose blocks drive a next one make chunk tuples (the X side).
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from itertools import chain
-from operator import itemgetter, lt
+from itertools import chain, tee
+from operator import add, itemgetter, lt
 
 from .errors import InvalidDesign, InvalidParameter, NotPrimePower, ResourceLimit
 from .gf import Field, _check_q, field_new
-from .mols import group_columns
+from .mols import column_orders, group_columns
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -286,30 +291,42 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
     f = _field(q)
     l = p_n(q, n)
     v = 1 + q * l
-    # Rows look up one shared int per id: kids[g] holds node g's children 1 + g*q + s,
-    # and block {g_0 < ... < g_q} gives one chunk per group row, reading kids[g_j] at column j.
-    ids = list(range(v))
-    kids = [ids[1 + g * q : 1 + g * q + q] for g in range(l)]
-    # cols[j] picks column j of every group row from block member g_j's children.  Stream j
-    # below gives each block that column of its g_j, and map(zip) makes one group per block.
-    cols = [itemgetter(*c) for c in group_columns(f)]
+    # Rows hold one shared int per id (u >= v): kids[g] holds node g's children 1 + g*q + c.
+    ids = list(range(chunks_per_iteration(q, n)))
+    kids = [ids[1 + g * q : 1 + g * q + q] for g in range(p_n(q, n - 1))]
+    # orders[j] deals a block's ids to member g_j's children, child c's a-th at a*q + c, and
+    # shares splits a hand among the children; cols[j] picks column j of every group row.
+    orders = [itemgetter(*o) for o in column_orders(f)]
+    shares = itemgetter(*[slice(c, None, q) for c in range(q)])
+    cols = [itemgetter(*c) for c in group_columns(f)] if n > 1 else []
     x = [(0, *kids[0])]  # n = 0: one chunk on the root and its q children
-    driving = 0  # first chunk id whose block has no layer-3 group yet
+    root, rows = ids[:1], [ids[:1] for _ in range(q)]  # rows[t] is node 1 + t's
+    driving = 0  # first chunk id of the previous round, whose blocks drive this one
     for i in range(1, n + 1):
         blocks = sorted(x[driving:])
-        driving = len(x)
+        driving = base = len(x)
+        root += ids[base : base + q**i]  # the layer-1 chunks of nodes p_{i-1} .. p_i - 1
+        rows += [[c] for c in root[-q**i :] for _ in range(q)]
+        # block t's group row r is chunk start + t*q**2 + r; its members deal them in turn
+        start, end = base + q**i, base + q**i + len(blocks) * q * q
+        per_block = zip(*[ids[r:end:q * q] for r in range(start, start + q * q)])
+        dealt = chain.from_iterable(zip(*map(map, orders, tee(per_block, q + 1))))
+        hands = [[] for _ in range(p_n(q, i))]  # any() runs every extend, which returns None
+        any(map(list.extend, map(hands.__getitem__, chain.from_iterable(blocks)), dealt))
+        if i == n:  # the last round drives none; its shares go straight into the tuples below
+            break
+        any(map(list.extend, rows, chain.from_iterable(map(shares, hands))))
         x.extend((0, *kids[j]) for j in range(p_n(q, i - 1), p_n(q, i)))
-        # blocks share members ((2,8)'s last round reads 97,920 columns at 765 distinct (j, g_j)),
-        # so stream j looks each block up in a table holding column j once per distinct g_j.
-        # A block ascends and kids[g]'s ids lie above those of any smaller g, so each row ascends.
+        # stream j reads column j once per distinct g_j ((2,8)'s round 7: 24,384 columns, 381
+        # (j, g_j)); a block ascends, and so do kids[g]'s ids with g, so each tuple ascends
         streams = [map(dict(zip(s, map(col, map(kids.__getitem__, s)))).__getitem__, gs)
                    for col, gs in zip(cols, zip(*blocks)) for s in [set(gs)]]
         x.extend(chain.from_iterable(map(zip, *streams)))
-    del blocks, cols, streams  # q**3 symbols and the tables: free them before the transpose
-    sd = StorageDesign(
-        q=q, n=n, k=q + 1, l=l, v=v, u=len(x), nodes=_transpose(x, v), field_meta=FieldMeta.of(f)
-    )
-    # _transpose lists each node's chunks in id order, and no block repeats a node
+    del x, blocks, orders, cols, per_block, dealt  # free them all before the rows are made
+    nodes = (tuple(root), *map(tuple, map(add, rows, chain.from_iterable(map(shares, hands)))))
+    sd = StorageDesign(q=q, n=n, k=q + 1, l=l, v=v, u=len(ids), nodes=nodes,
+                       field_meta=FieldMeta.of(f))
+    # each round deals its ids in ascending order, and no block repeats a node
     sd.__dict__.update(rows_ascend=True, is_complete=True)
     return sd
 

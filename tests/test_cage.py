@@ -187,11 +187,15 @@ def test_growth_appends(q, n):
 @pytest.mark.parametrize(
     "q, n",
     [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2),
-     (5, 2), (8, 1), (9, 1)],
+     (5, 2), (8, 1), (9, 1),
+     # odd-characteristic extension fields, and n >= 2 designs, where -1 != 1 and
+     # the 1 / (1 - e_j) of column_orders are not trivial
+     (9, 2), (25, 1), (27, 1), (7, 2), (4, 3)],
 )
 def test_build_matches_reference_rows(q, n):
-    # the library reads its rows through group_columns and itemgetter
-    # streams; the oracle follows the cage docstring one row at a time
+    # the library deals its node rows through column_orders and makes chunk
+    # tuples only for the rounds before the last; the oracle follows the
+    # cage docstring one chunk row at a time
     assert build_scaled_cage(q, n).x_neighbors == tuple(helpers.reference_chunk_rows(q, n))
 
 
@@ -214,10 +218,18 @@ def test_build_shares_one_int_per_node_id():
     assert peak < 18 * 2**20, peak
 
 
+@pytest.mark.parametrize("q, n", [(2, 6), (13, 2)])
+def test_build_shares_one_int_per_chunk_id(q, n):
+    # every row reads its chunk ids from one shared list, so the table
+    # holds exactly one int object per chunk
+    sd = build_scaled_cage(q, n)
+    assert len({id(c) for row in sd.nodes for c in row}) == sd.u
+
+
 def test_build_frees_group_columns():
-    # The q + 1 column lookups hold q**3 symbols; the build frees them
-    # before the transpose.  Peak traced memory on (64, 1): 7.65 MiB
-    # with them freed, 9.69 MiB with them held through the transpose.
+    # The q + 1 column orders hold q**3 positions; the build frees them
+    # before it makes the node tuples.  Peak traced memory on (64, 1):
+    # 7.17 MiB with them freed, 9.47 MiB with them held through the tuples.
     tracemalloc.start()
     try:
         build_scaled_cage(64, 1)

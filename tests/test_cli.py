@@ -921,21 +921,15 @@ def test_script_reports_fd_1_closed_at_start_up(tmp_path, capsys):
     # Python sets sys.stdout to None when it starts with fd 1 closed
     path = tmp_path / "d.json"
     run(capsys, "construct", "--q", "2", "--n", "3", "-o", str(path))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = SRC
-
-    def closed(*argv):
-        return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "frcage.cli",
-                               *argv], env=env, stderr=subprocess.PIPE, timeout=120)
-
     for argv in (["bounds", "--k", "3", "--l", "7"], ["verify", "-i", str(path)],
                  ["repair", "-i", str(path), "--node", "5"]):
-        done = closed(*argv)
+        done = _script(*argv, redirect=">&-")
         assert done.returncode == 2, argv
         assert done.stderr.startswith(b"IOError: [Errno 9] Bad file descriptor: '<stdout>'"), argv
         assert b"Traceback" not in done.stderr
     # a command that writes only to its -o file does not need stdout
-    done = closed("construct", "--q", "2", "--n", "2", "-o", str(tmp_path / "o.json"))
+    done = _script("construct", "--q", "2", "--n", "2", "-o", str(tmp_path / "o.json"),
+                   redirect=">&-")
     assert (done.returncode, done.stderr) == (0, b"")
     assert (tmp_path / "o.json").read_text() == to_json(build_scaled_cage(2, 2))
 
@@ -948,19 +942,12 @@ def test_script_exit_codes_with_fd_2_closed(tmp_path, capsys):
     payload = json.loads(good.read_text())
     payload["nodes"][1][1] = payload["nodes"][1][0]  # node 1 repeats a chunk
     bad.write_text(json.dumps(payload))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = SRC
-
-    def closed(*argv):
-        return subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "frcage.cli",
-                               *argv], env=env, stdout=subprocess.PIPE, timeout=120)
-
     for argv in (["repair", "-i", str(bad), "--node", "1"], ["construct", "--q", "2", "--n", "99"],
                  ["verify", "-i", str(tmp_path / "missing.json")]):
-        done = closed(*argv)
+        done = _script(*argv, redirect="2>&-")
         assert (done.returncode, done.stdout) == (2, b""), argv
     _, out, _ = run(capsys, "repair", "-i", str(good), "--node", "5")
-    done = closed("repair", "-i", str(good), "--node", "5")
+    done = _script("repair", "-i", str(good), "--node", "5", redirect="2>&-")
     assert (done.returncode, done.stdout.decode()) == (0, out)
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from frcage import field_new, generate_mols
-from frcage.mols import group_columns
+from frcage.mols import column_orders, group_columns
 from conftest import GOLDEN_MOLS_Q3
 import helpers
 
@@ -107,6 +107,19 @@ def test_cells_match_field_oracle(q):
     rows = sorted(((m,) + row for m, sq in enumerate(oracle_squares) for row in sq),
                   key=lambda r: (r[2], r[1]))
     assert group_columns(f) == list(zip(*rows))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
+def test_column_orders_list_each_symbols_rows_ascending(q):
+    """column_orders(f)[j][a*q + c] is the a-th row at which group
+    column j reads c, found here by scanning the column."""
+    f = field_new(q)
+    columns, orders = group_columns(f), column_orders(f)
+    assert len(orders) == len(columns) == q + 1
+    for j, (column, order) in enumerate(zip(columns, orders)):
+        assert len(order) == q * q, j
+        for c in range(q):
+            assert list(order[c::q]) == [r for r, x in enumerate(column) if x == c], (j, c)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
