@@ -36,7 +36,7 @@ rounds whose blocks drive a next one make chunk tuples (the X side).
 from __future__ import annotations
 
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain, tee
 from operator import add, itemgetter, lt
@@ -104,25 +104,18 @@ class StorageDesign(namedtuple(
     """A design: header plus node rows.  nodes[g] lists the chunk ids of
     node g; None marks an empty slot left by partial fill.
 
-    A frozen tuple.  Creating one (also by _replace) checks it in O(v)
-    and raises InvalidDesign: every field and row must have exactly its
-    type (_check_types), there must be v rows, a canonical header must
-    match (q, n) (_check_header), and any other must have 0 <= u <= v*l.
-    Once rows_ascend is known, every slot is an int or None and every id
-    is in [0, u).  A load, build_scaled_cage and partial_fill record it
-    in __dict__, which _replace does not copy; elsewhere it is computed."""
+    A frozen tuple.  Creating one (also by _replace) checks it and raises
+    InvalidDesign in a load's words: its header in O(v) (_check_header),
+    then its rows in O(edges) (_check_rows), which records is_complete.
+    So every slot is an int or None, every row's ids ascend strictly and
+    lie in [0, u), and every present chunk has exactly k replicas."""
 
     def __init__(self, *args, **kwargs) -> None:
-        _check_types(self)
-        if len(self.nodes) != self.v:
-            raise InvalidDesign(f"expected {self.v} nodes, found {len(self.nodes)}")
-        if self.construction == CONSTRUCTION:
-            _check_header(self)
-        elif not 0 <= self.u <= self.v * self.l:  # bounds x_neighbors
-            raise InvalidDesign(f"num_chunks={self.u} is outside [0, num_nodes * l]")
+        _check_header(self)
+        _check_rows(self)
 
     @classmethod
-    def _make(cls, iterable):  # so _replace checks the header too
+    def _make(cls, iterable):  # so _replace checks the table too
         return cls(*iterable)
 
     def __setattr__(self, name, value):  # cached values are written to __dict__ directly
@@ -133,44 +126,27 @@ class StorageDesign(namedtuple(
         return not any(None in row for row in self.nodes)
 
     @cached_property
-    def rows_ascend(self) -> bool:
-        """Each row's present chunk ids ascend strictly, so no row repeats
-        one.  Computing it checks every slot's type, then every id's range,
-        on sorted copies of the rows if they do not ascend."""
-        rows = [_present(g, r) for g, r in enumerate(self.nodes)]  # all types, before all() stops
-        ascend = all(all(map(lt, r, r[1:])) for r in rows)
-        _check_ids(rows if ascend else list(map(sorted, rows)), self.u)  # sorting moves no holder
-        return ascend
-
-    @cached_property
     def x_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """x_neighbors[c] lists the nodes holding chunk c, ascending
         (empty for a chunk blanked by partial fill).  Built on first use
         and kept for the life of the design."""
-        self.rows_ascend  # checks every slot and id of a table no load or build checked
         nodes = self.nodes
         return _transpose(nodes if self.is_complete else
                           [[c for c in r if c is not None] for r in nodes], self.u)
 
 
-_SLOT_TYPES = {int, type(None)}
-
-
-def _present(g: int, row: tuple) -> tuple | list:
-    """Node g's row without its blanks.  A slot that is neither an int
-    nor None raises InvalidDesign: True and 1.0 equal chunk 1 but are
-    no chunk id, and "1" and [1] index nothing."""
-    types = set(map(type, row))
-    if not types <= _SLOT_TYPES:
-        raise InvalidDesign(f"node {g} has a slot that is neither an integer nor null")
-    return [c for c in row if c is not None] if type(None) in types else row
+def _sketch(**fields) -> StorageDesign:
+    """A table whose header is checked and whose rows are not: for rows
+    that are right by construction or that the caller checks next."""
+    sd = StorageDesign.__new__(StorageDesign, **fields)
+    _check_header(sd)
+    return sd
 
 
 def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
     """out[j] lists the indices i of the rows holding j, ascending
     (rows are walked in order).  Every entry must be an int in
-    [0, size): a build's ids are in range by construction, and a
-    table's are once its rows_ascend is known."""
+    [0, size), as a checked table's ids are."""
     out: list[list[int]] = [[] for _ in range(size)]
     for i, row in enumerate(rows):
         for j in row:
@@ -199,6 +175,42 @@ def _index(rows, u: int) -> tuple[tuple[int, ...], ...]:
     return _transpose(rows, hi + 1) + ((),) * (u - hi - 1)
 
 
+_SLOT_TYPES = {int, type(None)}
+
+
+def _check_rows(sd: StorageDesign, index: bool = False) -> None:
+    """The row checks of creation and of a load, which record
+    sd.is_complete.  Each row's length, slot types and order come first:
+    a slot must be exactly an int or None, since True and 1.0 equal
+    chunk 1 but are no chunk id and "1" and [1] index nothing.  Then,
+    from the blank-free rows, each row's first and last id (_check_ids);
+    then the replica counts, by a Counter.  With index, they record
+    sd.x_neighbors from the rows instead and leave the replica counts to
+    the caller."""
+    rows = []
+    for g, row in enumerate(sd.nodes):
+        if len(row) != sd.l:
+            raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
+        types = set(map(type, row))
+        if not types <= _SLOT_TYPES:
+            raise InvalidDesign(f"node {g} has a slot that is neither an integer nor null")
+        present = [c for c in row if c is not None] if type(None) in types else row
+        if not all(map(lt, present, present[1:])):  # strict ascent: no repeat, in order
+            if len(set(present)) != len(present):
+                raise InvalidDesign(f"node {g} repeats a chunk id")
+            raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
+        rows.append(present)
+    sd.__dict__["is_complete"] = sum(map(len, rows)) == sd.v * sd.l
+    if index:
+        sd.__dict__["x_neighbors"] = _index(rows, sd.u)
+        return
+    _check_ids(rows, sd.u)
+    counts = Counter(chain.from_iterable(rows))
+    if not set(counts.values()) <= {sd.k}:
+        c, m = min((c, m) for c, m in counts.items() if m != sd.k)
+        raise InvalidDesign(f"chunk {c} has {m} replicas, expected {sd.k}")
+
+
 def _check_types(sd: StorageDesign) -> None:
     """Each field has exactly its type: json.dumps writes 7.0 and True as 7.0 and true."""
     fm, strs = sd.field_meta, (sd.version, sd.construction)
@@ -214,10 +226,20 @@ def _check_types(sd: StorageDesign) -> None:
 
 
 def _check_header(sd: StorageDesign) -> None:
-    """A canonical header is fixed by (q, n): k = q+1, l = p_n(q),
-    v = p_{n+1}(q), u = chunks_per_iteration(q, n), n >= 1 and
-    field_meta = FieldMeta.of(field_new(q))."""
+    """Creation's checks in O(v): every field and row container has
+    exactly its type (_check_types) and there are v rows.  A canonical
+    header is fixed by (q, n): k = q+1, l = p_n(q), v = p_{n+1}(q),
+    u = chunks_per_iteration(q, n), n >= 1 and
+    field_meta = FieldMeta.of(field_new(q)); any other must have
+    0 <= u <= v*l."""
+    _check_types(sd)
     q, n, v = sd.q, sd.n, sd.v
+    if len(sd.nodes) != v:
+        raise InvalidDesign(f"expected {v} nodes, found {len(sd.nodes)}")
+    if sd.construction != CONSTRUCTION:
+        if not 0 <= sd.u <= v * sd.l:  # bounds x_neighbors
+            raise InvalidDesign(f"num_chunks={sd.u} is outside [0, num_nodes * l]")
+        return
     # p_{n+1}(q) exceeds both q and 2**(n+1), so these bounds keep p_n
     # and GF(q) small for any header that could match the row count.
     if not (2 <= q < v and 1 <= n < v.bit_length()):
@@ -324,10 +346,9 @@ def build_scaled_cage(q: int, n: int, max_edges: int | None = None) -> StorageDe
         x.extend(chain.from_iterable(map(zip, *streams)))
     del x, blocks, orders, cols, per_block, dealt  # free them all before the rows are made
     nodes = (tuple(root), *map(tuple, map(add, rows, chain.from_iterable(map(shares, hands)))))
-    sd = StorageDesign(q=q, n=n, k=q + 1, l=l, v=v, u=len(ids), nodes=nodes,
-                       field_meta=FieldMeta.of(f))
     # each round deals its ids in ascending order, and no block repeats a node
-    sd.__dict__.update(rows_ascend=True, is_complete=True)
+    sd = _sketch(q=q, n=n, k=q + 1, l=l, v=v, u=len(ids), nodes=nodes, field_meta=FieldMeta.of(f))
+    sd.__dict__["is_complete"] = True
     return sd
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import chain
-from operator import itemgetter, lt
+from operator import itemgetter
 
 from .cage import (
     CONSTRUCTION,
@@ -22,9 +22,8 @@ from .cage import (
     FieldMeta,
     StorageDesign,
     _check_edge_cap,
-    _check_ids,
-    _index,
-    _present,
+    _check_rows,
+    _sketch,
     build_scaled_cage,
     chunks_per_iteration,
 )
@@ -80,8 +79,9 @@ def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
     (q, n+1) (ResourceLimit), then, after (q, n+1) is built, a table
     whose rows are not exactly the first p_n(q) slots of its first
     p_{n+1}(q) nodes: InvalidDesign naming a malformed row or replica
-    count, else NotCanonical.  The header was checked against (q, n)
-    when the table was created."""
+    count, else NotCanonical.  A table made by creation or a load has
+    had its header and rows checked; the CLI's parse checks only the
+    header, and its rows are named here."""
     _require_canonical(old)
     if not old.is_complete:
         raise NotCanonical("partially filled designs cannot be expanded")
@@ -90,7 +90,7 @@ def expand(old: StorageDesign, max_edges: int | None = None) -> StorageDesign:
     # == alone would take True or 1.0 for chunk 1
     if (set(map(type, chain.from_iterable(old.nodes))) != {int}
             or old.nodes != tuple(row[:old.l] for row in new.nodes[:old.v])):
-        _validate(old)  # the row checks run only to name why the table differs
+        _check_rows(old)  # the row checks run only to name why the table differs
         raise NotCanonical(
             f"design does not match the canonical (q={old.q}, n={old.n}) construction"
         )
@@ -103,9 +103,8 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     Valid u_tilde lie strictly above the previous iteration's chunk
     count and at most at this iteration's; slot positions are kept so
     chunks can be filled in later without moving anything.  Tables this
-    library did not build raise NotCanonical; bad slots or ids (see
-    rows_ascend) and a row that does not ascend strictly raise
-    InvalidDesign.  The result records rows_ascend: prefixes ascend too.
+    library did not build raise NotCanonical.  The result's rows are not
+    checked again: prefixes of checked rows pass every row check.
     """
     _require_canonical(full)
     if not full.is_complete:
@@ -113,13 +112,10 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     u_prev = chunks_per_iteration(full.q, full.n - 1)
     if type(u_tilde) is not int or not u_prev < u_tilde <= full.u:
         raise OutOfRange(f"u_tilde must be an integer in ({u_prev}, {full.u}], got {u_tilde!r}")
-    if not full.rows_ascend:  # from_json would refuse the output
-        raise InvalidDesign("partial_fill expects each row in strictly ascending chunk-id order")
     # the ids kept in an ascending row are a prefix, so one bisect finds its end
-    part = full._replace(nodes=tuple(row[:i] + (None,) * (len(row) - i)
-                                     for row in full.nodes for i in [bisect_left(row, u_tilde)]))
-    part.__dict__["rows_ascend"] = True
-    return part
+    nodes = tuple(row[:i] + (None,) * (len(row) - i)
+                  for row in full.nodes for i in [bisect_left(row, u_tilde)])
+    return _sketch(**{**full._asdict(), "nodes": nodes})
 
 
 def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
@@ -129,8 +125,7 @@ def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
 
     The rows are scanned cyclically from failed + 1 until every lost
     chunk has a helper, the first row holding it; no location index is
-    read.  Slots and ids are checked first, by rows_ascend, only on a
-    table that no load or build checked.
+    read.
 
     Each holder of a chunk is the successor of exactly one other
     holder, so over all v single-node failures every node
@@ -142,7 +137,6 @@ def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
     """
     if type(failed) is not int or not 0 <= failed < sd.v:
         raise NodeOutOfRange(f"node id must be an integer in [0, {sd.v}), got {failed!r}")
-    sd.rows_ascend  # checks every slot and id of a table no load or build checked
     nodes = sd.nodes
     lost = [c for c in nodes[failed] if c is not None]
     need, found = set(lost), {}
@@ -178,17 +172,12 @@ def _replica_defect(sd: StorageDesign):
 
 def check_partial_invariants(sd: StorageDesign):
     """(ok, detail) for possibly partially-filled tables, stopping at the
-    first defect: a node repeats a chunk ("duplicate_slot": (node,)), a
-    present chunk lacks k replicas ("replicas": (chunk, count)), nodes
-    a < b share chunks c0 < c ("overlap": (a, b, c0, c)), or the first
-    blank chunk lies below a present one ("blank_gap": (blank, present)).
-    detail is empty when ok; a chunk id out of range raises InvalidDesign."""
-    locs = chunk_locations(sd)  # first, so an id that is no integer raises before set() hashes it
-    if not sd.rows_ascend:  # a row that ascends strictly repeats no chunk
-        for g, row in enumerate(sd.nodes):
-            present = [c for c in row if c is not None]
-            if len(set(present)) != len(present):
-                return False, {"duplicate_slot": (g,)}
+    first defect: nodes a < b share chunks c0 < c ("overlap":
+    (a, b, c0, c)), or the first blank chunk lies below a present one
+    ("blank_gap": (blank, present)).  detail is empty when ok.  A
+    present chunk without k replicas ("replicas": (chunk, count)) is
+    refused where a table is made, so that witness names none."""
+    locs = chunk_locations(sd)
     bad = _replica_defect(sd)
     if bad is not None:
         return False, {"replicas": bad}
@@ -215,9 +204,7 @@ _HEADER = {"version": "version", "construction": "construction", "q": "q", "n": 
 def to_json(sd: StorageDesign) -> str:
     """Canonical JSON: header plus node rows, empty slots as null; the
     text of json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    and a newline.  Slots and ids are checked first, by rows_ascend, on
-    a table no load or build checked."""
-    sd.rows_ascend  # json.dumps would write True as true; dec[True] reads 1 and dec[-1] wraps
+    and a newline."""
     header = {key: getattr(sd, name) for key, name in _HEADER.items()}
     header["field"] = sd.field_meta._asdict()
     # Each id is written k times.  From k = 9 its one string (about 56 bytes) costs less
@@ -244,8 +231,8 @@ def from_json(text: str | bytes) -> StorageDesign:
 
 
 def _parse(text: str | bytes) -> StorageDesign:
-    """from_json's first stage: the JSON and the checks that creating
-    the design runs (see StorageDesign); the slots are not checked."""
+    """from_json's first stage: the JSON and creation's header checks
+    (cage._check_header); the rows are not checked."""
     try:
         payload = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as exc:  # also not UTF-8, too deep, or an int too long
@@ -258,42 +245,21 @@ def _parse(text: str | bytes) -> StorageDesign:
         field_meta = FieldMeta(fmeta["p"], fmeta["m"], tuple(fmeta["modulus"]), fmeta["primitive"])
     except (KeyError, TypeError) as exc:
         raise InvalidDesign(f"malformed design payload: {exc}") from exc
-    return StorageDesign(**fields, nodes=nodes, field_meta=field_meta)
+    return _sketch(**fields, nodes=nodes, field_meta=field_meta)
 
 
 def _validate(sd: StorageDesign, index: bool = True) -> None:
-    """from_json's second stage, the row checks, which record
-    sd.x_neighbors (with index), then sd.rows_ascend and sd.is_complete
-    once the ids are in range: a refused expand runs this on the
-    caller's own table.  Each row's length, slot types and order are
-    checked first; then, from the blank-free rows, each row's first and
-    last id; then the replica counts, from the index or a Counter."""
-    rows = []
-    for g, row in enumerate(sd.nodes):
-        if len(row) != sd.l:
-            raise InvalidDesign(f"node {g} has {len(row)} slots, expected {sd.l}")
-        present = _present(g, row)
-        if not all(map(lt, present, present[1:])):  # strict ascent: no repeat, in order
-            if len(set(present)) != len(present):
-                raise InvalidDesign(f"node {g} repeats a chunk id")
-            raise InvalidDesign(f"node {g} does not list its chunk ids in ascending order")
-        rows.append(present)
-    if index:
-        sd.__dict__["x_neighbors"] = _index(rows, sd.u)
-        bad = _replica_defect(sd)
-    else:
-        _check_ids(rows, sd.u)
-        counts = Counter(chain.from_iterable(rows))
-        bad = None if set(counts.values()) <= {sd.k} else min(
-            (c, m) for c, m in counts.items() if m != sd.k)
-    sd.__dict__.update(rows_ascend=True, is_complete=sum(map(len, rows)) == sd.v * sd.l)
-    if bad is not None:
+    """from_json's second stage: creation's row checks (cage._check_rows),
+    which with index record sd.x_neighbors and read the replica counts
+    from it."""
+    _check_rows(sd, index)
+    bad = _replica_defect(sd) if index else None
+    if bad is not None:  # in _check_rows's words
         raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")
 
 
 def to_csv(sd: StorageDesign) -> str:
     """One row per node: node id followed by its slots (blank = empty)."""
-    sd.rows_ascend  # checks every slot and id of a table no load or build checked
     lines = [",".join([str(g), *("" if c is None else str(c) for c in row)])
              for g, row in enumerate(sd.nodes)]
     return "\n".join(lines) + "\n"

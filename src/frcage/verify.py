@@ -67,7 +67,9 @@ def _cover_walk(blocks, num_elements: int):
     canonical table within the cap: there v = 1 + q*l and
     l*(l - q) >= 1, so v <= l**2 and v**3 <= (v*l)**2, the square of
     its edge count.  The default cap admits 10,000 elements, about
-    6 MiB of masks.
+    6 MiB of masks.  Blocks with more members in all (edges) than the
+    cap raise ResourceLimit too, before the walk, since its time grows
+    with edges times elements.
 
     On at most _BIT_TABLE_MAX elements, bit a comes from a table built
     per walk: timed alone, it beat 1 << a by 11-18% on every design of
@@ -80,6 +82,10 @@ def _cover_walk(blocks, num_elements: int):
     if num_elements**3 > cap**2:
         raise ResourceLimit(f"pair masks on {num_elements} elements need v**3 <= cap**2, "
                             f"cap is {cap}")
+    sizes = list(map(len, blocks))
+    edges = sum(sizes)
+    if edges > cap:
+        raise ResourceLimit(f"pair check needs {edges} edges, cap is {cap}")
     masks = [0] * num_elements
     if num_elements <= _BIT_TABLE_MAX:
         bit = [1 << a for a in range(num_elements)] + [None] * num_elements
@@ -96,8 +102,7 @@ def _cover_walk(blocks, num_elements: int):
                 m |= 1 << a
             for a in block:
                 masks[a] |= m
-    sizes = list(map(len, blocks))
-    pairs = (sum(map(mul, sizes, sizes)) - sum(sizes)) // 2
+    pairs = (sum(map(mul, sizes, sizes)) - edges) // 2
     partners = sum(map(int.bit_count, masks)) - (num_elements - masks.count(0))
     return partners == 2 * pairs, pairs
 
@@ -214,23 +219,18 @@ class VerificationReport(namedtuple(
 def verify_design(d: StorageDesign) -> VerificationReport:
     """Run degree, girth, Steiner-exactness and bound-tightness checks
     against the design's declared parameters.  Failures are reported,
-    never raised; a partially filled table raises InvalidDesign."""
+    never raised; a partially filled table raises InvalidDesign.
+    Creation gives every node l slots and every present chunk k holders,
+    so the degree witness names a chunk that no node holds: ("x", c, 0)."""
     if not d.is_complete:
         raise InvalidDesign("cannot verify a partially filled design as a complete one")
     witnesses: dict = {}
 
-    # holders repeat a node exactly where its row repeats the chunk, and a row that ascends
-    # strictly (a load or build records it) repeats none
-    if set(map(len, d.x_neighbors)) != {d.k} or not d.rows_ascend:
-        w = next((("x", c, len(set(ys))) for c, ys in enumerate(d.x_neighbors)
-                  if len(ys) != d.k or len(set(ys)) != d.k), None)
+    # the set of lengths is built in C, so the Python walk below runs only on a defect
+    if set(map(len, d.x_neighbors)) != {d.k}:
+        w = next((("x", c, len(ys)) for c, ys in enumerate(d.x_neighbors) if len(ys) != d.k), None)
         if w is not None:
             witnesses["degree"] = w
-    if "degree" not in witnesses:
-        # a node's degree is its row length, since every slot is filled
-        g = next((g for g, deg in enumerate(map(len, d.nodes)) if deg != d.l), None)
-        if g is not None:
-            witnesses["degree"] = ("y", g, len(d.nodes[g]))
 
     girth_ok, w = girth_at_least_six(d)
     if w is not None:

@@ -44,12 +44,13 @@ def with_value(sd: StorageDesign, place: str, value) -> dict:
     return fields
 
 
-def naive_no_four_cycles(d: StorageDesign) -> bool:
-    """Literal enumeration over all (x, y, x', y') quadruples.
-    Quadratic in both sides; keep to designs with |X| <= 40."""
-    nb = [set(ys) for ys in holders_from_rows(d.nodes, d.u)]
-    for x1 in range(d.u):
-        for x2 in range(x1 + 1, d.u):
+def naive_no_four_cycles(blocks) -> bool:
+    """Literal enumeration over all (x, y, x', y') quadruples, where
+    blocks[x] lists X vertex x's Y neighbours.  Quadratic in both
+    sides; keep to |X| <= 40."""
+    nb = [set(ys) for ys in blocks]
+    for x1 in range(len(nb)):
+        for x2 in range(x1 + 1, len(nb)):
             for y1 in nb[x1]:
                 for y2 in nb[x1]:
                     if y1 < y2 and y1 in nb[x2] and y2 in nb[x2]:

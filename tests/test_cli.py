@@ -101,7 +101,7 @@ def test_good_expand_skips_the_row_checks(tmp_path, monkeypatch):
     def boom(sd):
         raise AssertionError("a good expand ran the row checks")
 
-    monkeypatch.setattr(design, "_validate", boom)
+    monkeypatch.setattr(design, "_check_rows", boom)
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     for q, n in ((2, 6), (13, 1)):
         old.write_text(to_json(build_scaled_cage(q, n)))
@@ -163,7 +163,7 @@ def test_over_cap_expand_is_refused_before_the_rows(tmp_path, capsys, monkeypatc
     def boom(*args, **kwargs):
         raise AssertionError("an over-cap expand checked or indexed the rows")
 
-    monkeypatch.setattr(design, "_validate", boom)
+    monkeypatch.setattr(design, "_check_rows", boom)
     monkeypatch.setattr(cage, "_transpose", boom)
     for p in (path, good):
         code, out, err = run(capsys, "expand", "-i", str(p), "--max-edges", "400")
@@ -346,7 +346,7 @@ def test_fill_and_repair_load_no_location_index(tmp_path, capsys, monkeypatch):
     for sd, _ in (fill, repair, csv):  # checked on load, and nothing built the index after it
         loaded = vars(sd)
         assert "x_neighbors" not in loaded
-        assert (loaded["rows_ascend"], loaded["is_complete"]) == (True,) * 2
+        assert loaded["is_complete"] is True
     # their load is the indexing one; to_dot and verify_design would build it themselves
     assert "x_neighbors" in verify[1] and "x_neighbors" in dot[1]
 
@@ -575,6 +575,21 @@ def test_verify_bounds_its_pair_masks_by_the_edge_cap(tmp_path, capsys, monkeypa
         assert run(capsys, "verify", "-i", str(path))[0] == 0, (q, n)
         path.write_text(to_json(design.partial_fill(sd, sd.u - 1)))
         assert run(capsys, "verify", "-i", str(path))[0] == 0, (q, n)
+
+
+def test_verify_bounds_its_walk_by_the_edge_cap(tmp_path, capsys, monkeypatch):
+    # the walk's time grows with edges times nodes, so more edges than the cap are
+    # refused before any walk: at its own edge count a table gets a verdict, and one
+    # edge lower it is ResourceLimit, complete or partially filled
+    path = tmp_path / "d.json"
+    full = build_scaled_cage(2, 2)
+    for sd, edges in ((full, 105), (design.partial_fill(full, 30), 90)):
+        path.write_text(to_json(sd))
+        monkeypatch.setenv("FRC_MAX_EDGES", str(edges))
+        assert run(capsys, "verify", "-i", str(path))[0] == 0
+        monkeypatch.setenv("FRC_MAX_EDGES", str(edges - 1))
+        assert run(capsys, "verify", "-i", str(path)) == (
+            2, "", f"ResourceLimit: pair check needs {edges} edges, cap is {edges - 1}\n")
 
 
 def test_every_input_is_read_within_a_byte_budget(tmp_path, capsys, monkeypatch):

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import re
 import time
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -28,7 +30,6 @@ from frcage import (
     partial_fill,
     repair_plan,
     to_csv,
-    to_dot,
     to_json,
     verify_design,
 )
@@ -141,6 +142,57 @@ def test_a_made_table_is_refused_as_its_file_would_be():
                     {"nodes": [list(r) for r in sd.nodes]}):
         with pytest.raises(InvalidDesign, match="^malformed design payload: "):
             replace(hand, **changes)
+    # every row defect, made directly and by _replace, on a canonical and a hand-built table
+    triangle = helpers.storage_from_rows([[0, 1], [0, 2], [1, 2]], num_chunks=3, k=2)
+    for base in (sd, hand, triangle):
+        for edit, message in ROW_DEFECTS:
+            rows = [list(row) for row in base.nodes]
+            edit(rows, base.u)
+            fields = {**base._asdict(), "nodes": tuple(map(tuple, rows))}
+            payload = json.loads(to_json(base))
+            payload["nodes"] = rows
+            with pytest.raises(InvalidDesign) as loaded:
+                from_json(json.dumps(payload))
+            assert re.match(message.format(k=base.k, less=base.k - 1, more=base.k + 1),
+                            str(loaded.value)), (base, rows)
+            for make in (lambda: StorageDesign(**fields), lambda: base._replace(nodes=fields["nodes"])):
+                with pytest.raises(InvalidDesign) as made:
+                    make()
+                assert str(made.value) == str(loaded.value), (base, rows)
+
+
+def _move_replica(rows, up: bool) -> None:
+    """Move one replica of a row's chunk c to an id e the row lacks, and
+    sort the row: e > c where up (c is left with k-1 replicas), else
+    e < c (e gets k+1); either way the smaller of the two is named."""
+    for row in rows:
+        for c in row:
+            e = next((e for e in sorted({*chain(*rows)} - {*row}) if (e > c) == up), None)
+            if e is not None:
+                row[row.index(c)] = e
+                row.sort()
+                return
+
+
+def _set(g: int, i: int, value):
+    """An edit that writes value (or value(rows, u)) to slot i of row g."""
+    return lambda rows, u: rows[g].__setitem__(i, value(rows, u) if callable(value) else value)
+
+
+# (edit of the rows, the refusal it gets, k filled in), one per row defect; row 1
+# of each table holds two ids or more
+ROW_DEFECTS = [
+    (lambda rows, u: rows[1].pop(), r"^node 1 has \d+ slots, expected \d+$"),
+    (lambda rows, u: rows[1].append(u - 1), r"^node 1 has \d+ slots, expected \d+$"),
+    *[(_set(1, 1, bad), "^node 1 has a slot that is neither an integer nor null$")
+      for bad in (True, 1.0, "1", [1])],
+    (_set(1, 1, lambda rows, u: rows[1][0]), "^node 1 repeats a chunk id$"),
+    (lambda rows, u: rows[1].reverse(), "^node 1 does not list its chunk ids in ascending order$"),
+    (_set(1, 0, -1), r"^row 1 holds an id out of range \[0, \d+\)$"),
+    (_set(1, -1, lambda rows, u: u), r"^row 1 holds an id out of range \[0, \d+\)$"),
+    (lambda rows, u: _move_replica(rows, up=True), r"^chunk \d+ has {less} replicas, expected {k}$"),
+    (lambda rows, u: _move_replica(rows, up=False), r"^chunk \d+ has {more} replicas, expected {k}$"),
+]
 
 
 def test_records_are_tuples():
@@ -151,7 +203,7 @@ def test_records_are_tuples():
     # _replace builds a new table: nothing computed on the old one carries over
     sd.x_neighbors
     assert "x_neighbors" not in vars(replace(sd, construction="hand-built"))
-    for name in ("q", "x_neighbors", "rows_ascend", "other"):
+    for name in ("q", "x_neighbors", "is_complete", "other"):
         with pytest.raises(AttributeError):
             setattr(sd, name, ())
 
@@ -365,65 +417,68 @@ def test_partial_fill_boundaries():
 @pytest.mark.parametrize("bad", [-1, 35])
 def test_partial_fill_refuses_ids_out_of_range(bad):
     # -1 < 30 would be kept and 35 blanked; either way the rows are not
-    # a (2,2) table, and the result could not be reloaded
+    # a (2,2) table, and the result could not be reloaded.  The row still
+    # ascends, and the table is refused where it is made.
     full = build_scaled_cage(2, 2)
     rows = [list(row) for row in full.nodes]
-    rows[3][0] = bad
-    with pytest.raises(InvalidDesign, match="out of range"):
+    rows[3][0 if bad < 0 else -1] = bad
+    with pytest.raises(InvalidDesign, match=r"^row 3 holds an id out of range \[0, 35\)$"):
         partial_fill(replace(full, nodes=tuple(map(tuple, rows))), 30)
 
 
 @pytest.mark.parametrize("bad", [-1, 35])
 def test_unchecked_tables_are_range_checked_before_fill_and_repair(bad):
-    # a _replace'd table records no rows_ascend: both functions compute it first,
-    # which range-checks the ids and names the row; a built table is not checked
-    # again, and neither function builds its index
+    # creation range-checks a table's ids and names the row, so neither
+    # function meets such a table; a built table is not checked again, and
+    # neither function builds its index
     full = build_scaled_cage(2, 2)
     rows = [list(row) for row in full.nodes]
     rows[3][0 if bad < 0 else -1] = bad
-    edited = replace(full, nodes=tuple(map(tuple, rows)))
-    assert "rows_ascend" not in vars(edited)
-    with pytest.raises(InvalidDesign, match=r"row 3 holds an id out of range \[0, 35\)"):
-        partial_fill(edited, 30)
-    for g in (3, 0):
-        with pytest.raises(InvalidDesign, match=r"row 3 holds an id out of range \[0, 35\)"):
-            repair_plan(edited, g)
+    for base in (full, replace(full, construction="hand-built")):
+        with pytest.raises(InvalidDesign, match=r"^row 3 holds an id out of range \[0, 35\)$"):
+            replace(base, nodes=tuple(map(tuple, rows)))
     partial_fill(full, 30)
     repair_plan(full, 3)
-    assert vars(full)["rows_ascend"] and "x_neighbors" not in vars(full)
+    assert "x_neighbors" not in vars(full)
 
 
-def test_a_refused_expand_leaves_the_table_unchecked():
-    # expand's row checks run on the caller's own table and stop at the range
-    # check, so they record nothing: every later call range-checks it again
-    full = build_scaled_cage(2, 2)
-    rows = [list(row) for row in full.nodes]
-    rows[3][-1] = 35  # the row still ascends
-    edited = replace(full, nodes=tuple(map(tuple, rows)))
-    message = r"^row 3 holds an id out of range \[0, 35\)$"
-    with pytest.raises(InvalidDesign, match=message):
-        expand(edited)
-    assert not {"rows_ascend", "x_neighbors"} & set(vars(edited))
-    for call in (lambda: repair_plan(edited, 0), lambda: to_dot(edited),
-                 lambda: to_csv(edited), lambda: partial_fill(edited, 30)):
-        with pytest.raises(InvalidDesign, match=message):
-            call()
+def test_a_refused_expand_names_a_row_defect_as_a_load_does():
+    # the CLI's expand parses a file with the header checks alone, so a table
+    # whose rows are not the canonical prefix is named by creation's row
+    # checks, in the words from_json gives the same file; well-formed rows
+    # that differ from the prefix are NotCanonical
+    payload = json.loads(to_json(build_scaled_cage(2, 2)))
+    for edit, _ in ROW_DEFECTS:
+        rows = [list(row) for row in GOLDEN_S2315_T]
+        edit(rows, 35)
+        text = json.dumps({**payload, "nodes": rows})
+        with pytest.raises(InvalidDesign) as loaded:
+            from_json(text)
+        with pytest.raises(InvalidDesign) as refused:
+            expand(frcage.design._parse(text))
+        assert str(refused.value) == str(loaded.value), rows
+    text = json.dumps({**payload, "nodes": _swap_first_rows(tuple(payload["nodes"]))})
+    with pytest.raises(NotCanonical):
+        expand(frcage.design._parse(text))
+    assert from_json(text).nodes[0] == tuple(GOLDEN_S2315_T[1])
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
-def test_partial_fill_records_ascent(q, n):
-    # prefixes of ascending rows ascend, so the output is indexed with no row pass,
-    # and its index and invariants are those of its reload
+def test_partial_fill_output_passes_the_row_checks(q, n):
+    # prefixes of checked rows pass every row check, so partial_fill makes its
+    # output with none; they still pass, and its index and invariants are
+    # those of its reload
     full = build_scaled_cage(q, n)
     for u_tilde in (chunks_per_iteration(q, n - 1) + 1, full.u - 1, full.u):
         part = partial_fill(full, u_tilde)
-        assert vars(part)["rows_ascend"] is True
+        assert StorageDesign(*part) == part
         reloaded = from_json(to_json(part))
         assert part.x_neighbors == reloaded.x_neighbors
         assert check_partial_invariants(part) == check_partial_invariants(reloaded) == (True, {})
 
 
 def _range_check(serialize, bad):
+    # the table is refused where it is made, so serialize never meets the id
     for full in (build_scaled_cage(2, 2), build_scaled_cage(8, 1)):
         rows = [list(row) for row in full.nodes]
         rows[3][0 if bad < 0 else -1] = bad if bad < 0 else full.u
@@ -454,19 +509,19 @@ def _dumps_reference(sd):
 
 def _hand_built(k, u, rows):
     base = replace(build_scaled_cage(2, 1), construction="hand-built")
-    return replace(base, k=k, l=max(u, 1), v=len(rows), u=u, nodes=rows)  # so u <= v * l where v > 0
+    return replace(base, k=k, l=len(rows[0]) if rows else 0, v=len(rows), u=u, nodes=rows)
 
 
 def test_to_json_matches_json_dumps_on_both_sides_of_the_cutoff(monkeypatch):
     # k >= 9 and complete: rows are joined from one string per id; else json.dumps writes them
     tables = [
         _hand_built(9, 0, ((), (), ())),
-        _hand_built(9, 12, ((0,), (10,), (11,))),  # one id, with two digits
-        _hand_built(10, 12, ((0, 1), (1, 10), (2, 11))),
-        _hand_built(9, 12, ((), (5,), (0, 11), (1, 2, 3, 10), (10,), ())),
+        _hand_built(11, 11, ((10,),) * 11),  # one id, with two digits
+        _hand_built(10, 12, ((1, 10),) * 10),
+        _hand_built(9, 12, ((0, 11),) * 9 + ((3, 10),) * 9),
         _hand_built(9, 0, ()),
-        _hand_built(9, 12, ((0, None), (None,), (3, 11))),
-        _hand_built(8, 12, ((0, 1, 2), (10,), ())),
+        _hand_built(9, 12, ((0, None),) * 9),
+        _hand_built(8, 12, ((0, 1, 2),) * 8),
     ]
     for q, n in ((2, 3), (8, 1), (9, 1), (13, 1)):
         full = build_scaled_cage(q, n)
@@ -518,15 +573,17 @@ def test_partial_fill_matches_a_per_slot_oracle(q, n):
 
 @pytest.mark.parametrize("edit", ["swap", "repeat"])
 def test_partial_fill_refuses_a_row_out_of_order(edit):
-    # ids in range, so only the order of row 3 is wrong; from_json
-    # would refuse the filled table, so partial_fill refuses its input
+    # ids in range, so only the order of row 3 is wrong; from_json would
+    # refuse the filled table, and the input is refused where it is made
     full = build_scaled_cage(2, 2)
     rows = [list(row) for row in full.nodes]
     if edit == "swap":
         rows[3][0], rows[3][1] = rows[3][1], rows[3][0]
+        message = "does not list its chunk ids in ascending order"
     else:
         rows[3][1] = rows[3][0]
-    with pytest.raises(InvalidDesign, match="ascending"):
+        message = "repeats a chunk id"
+    with pytest.raises(InvalidDesign, match=f"^node 3 {message}$"):
         partial_fill(replace(full, nodes=tuple(map(tuple, rows))), 30)
 
 
@@ -580,14 +637,15 @@ def test_load_names_row_defects_then_range_then_replicas():
     assert from_json(json.dumps(payload)) == build_scaled_cage(2, 2)
 
 
-def test_build_records_ascent_and_completeness():
+def test_build_and_creation_record_completeness():
+    # the build records it by construction; creation's row checks record it
+    # too, and pass on the build's rows
     for q, n in [(2, 3), (3, 2), (8, 1)]:
         sd = build_scaled_cage(q, n)
-        assert {k: vars(sd)[k] for k in ("rows_ascend", "is_complete")} == {
-            "rows_ascend": True, "is_complete": True}
+        assert vars(sd)["is_complete"] is True
         fresh = replace(sd, construction="hand-built")
-        assert not {"rows_ascend", "is_complete"} & set(vars(fresh))
-        assert (fresh.rows_ascend, fresh.is_complete) == (True, True)  # computed from the rows
+        assert vars(fresh)["is_complete"] is True
+        assert vars(replace(partial_fill(sd, sd.u - 1)))["is_complete"] is False
 
 
 # ---------------------------------------------------------------------------

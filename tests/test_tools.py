@@ -13,10 +13,18 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LAUNCH = ROOT / "tools" / "launch.py"
+LOC = ROOT / "tools" / "loc.py"
 
-spec = importlib.util.spec_from_file_location("launch", LAUNCH)
-launch = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(launch)
+
+def _module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+launch = _module(LAUNCH)
+loc = _module(LOC)
 
 
 def test_launch_parses_python_3_10():
@@ -51,3 +59,46 @@ def test_launch_runs_each_line_and_reports_it():
         # each child is its own small interpreter; its stdout went to /dev/null
         assert 0 < r["wall_s"] < 30 and 1 < r["rss_mib"] < 200, r
     assert done.stderr == ""
+
+
+TOY = '''"""Module doc.
+
+Second paragraph."""
+
+# a comment
+import os  # a trailing comment leaves the line code
+
+
+class A:
+    """Class doc."""
+
+    def f(self):
+        \'\'\'
+        Method doc.
+        \'\'\'
+        text = """not a doc
+
+        still code"""
+        return text
+'''
+
+
+def test_loc_counts_each_kind_of_line(tmp_path):
+    ast.parse(LOC.read_text(encoding="utf-8"), feature_version=(3, 10))
+    assert loc.kinds(TOY) == [
+        "docstring", "blank", "docstring", "blank", "comment", "code", "blank", "blank",
+        "code", "docstring", "blank", "code", "docstring", "docstring", "docstring",
+        "code", "blank", "code", "code"]
+    (tmp_path / "toy.py").write_text(TOY)
+    (tmp_path / "empty.py").write_text("")
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "deeper.py").write_text("x = 1\n")
+    done = subprocess.run([sys.executable, str(LOC), str(tmp_path)], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert json.loads(done.stdout) == {"code": 6, "docstring": 6, "comment": 1, "blank": 6,
+                                       "total": 19}
+    assert done.stdout.count("\n") == 1
+    missing = subprocess.run([sys.executable, str(LOC), str(tmp_path / "none")],
+                             capture_output=True, text=True, timeout=60)
+    assert (missing.returncode, missing.stdout) == (2, "")
