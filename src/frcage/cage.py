@@ -128,11 +128,11 @@ class StorageDesign(namedtuple(
     @cached_property
     def x_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """x_neighbors[c] lists the nodes holding chunk c, ascending
-        (empty for a chunk blanked by partial fill).  Built on first use
-        and kept for the life of the design."""
+        (empty for a chunk blanked by partial fill).  Recorded by from_json,
+        else built by _index on first use; kept for the life of the design."""
         nodes = self.nodes
-        return _transpose(nodes if self.is_complete else
-                          [[c for c in r if c is not None] for r in nodes], self.u)
+        return _index(nodes if self.is_complete else
+                      [[c for c in r if c is not None] for r in nodes], self.u)
 
 
 def _sketch(**fields) -> StorageDesign:
@@ -141,17 +141,6 @@ def _sketch(**fields) -> StorageDesign:
     sd = StorageDesign.__new__(StorageDesign, **fields)
     _check_header(sd)
     return sd
-
-
-def _transpose(rows, size: int) -> tuple[tuple[int, ...], ...]:
-    """out[j] lists the indices i of the rows holding j, ascending
-    (rows are walked in order).  Every entry must be an int in
-    [0, size), as a checked table's ids are."""
-    out: list[list[int]] = [[] for _ in range(size)]
-    for i, row in enumerate(rows):
-        for j in row:
-            out[j].append(i)
-    return tuple(map(tuple, out))
 
 
 def _check_ids(rows, u: int) -> int:
@@ -168,25 +157,29 @@ def _check_ids(rows, u: int) -> int:
 
 
 def _index(rows, u: int) -> tuple[tuple[int, ...], ...]:
-    """x_neighbors of blank-free int rows that ascend, range-checked by
-    _check_ids.  Ids above the largest present one get no holder list
-    of their own."""
+    """x_neighbors of blank-free int rows that ascend: out[c] lists the
+    rows holding c, ascending.  Range-checked by _check_ids; ids above
+    the largest present one are padded with ()."""
     hi = _check_ids(rows, u)
-    return _transpose(rows, hi + 1) + ((),) * (u - hi - 1)
+    out: list[list[int]] = [[] for _ in range(hi + 1)]
+    for g, row in enumerate(rows):
+        for c in row:
+            out[c].append(g)
+    return tuple(map(tuple, out)) + ((),) * (u - hi - 1)
 
 
 _SLOT_TYPES = {int, type(None)}
 
 
 def _check_rows(sd: StorageDesign, index: bool = False) -> None:
-    """The row checks of creation and of a load, which record
+    """The row checks of creation and of both loads, which record
     sd.is_complete.  Each row's length, slot types and order come first:
     a slot must be exactly an int or None, since True and 1.0 equal
     chunk 1 but are no chunk id and "1" and [1] index nothing.  Then,
     from the blank-free rows, each row's first and last id (_check_ids);
-    then the replica counts, by a Counter.  With index, they record
-    sd.x_neighbors from the rows instead and leave the replica counts to
-    the caller."""
+    then the replica counts, by a Counter.  With index (from_json), they
+    record sd.x_neighbors by _index instead and leave the replica counts
+    to the caller."""
     rows = []
     for g, row in enumerate(sd.nodes):
         if len(row) != sd.l:
@@ -211,8 +204,14 @@ def _check_rows(sd: StorageDesign, index: bool = False) -> None:
         raise InvalidDesign(f"chunk {c} has {m} replicas, expected {sd.k}")
 
 
-def _check_types(sd: StorageDesign) -> None:
-    """Each field has exactly its type: json.dumps writes 7.0 and True as 7.0 and true."""
+def _check_header(sd: StorageDesign) -> None:
+    """Creation's checks in O(v): every field, field metadata member and
+    row container has exactly its type (json.dumps writes 7.0 and True as
+    7.0 and true), and there are v rows.  A canonical header is fixed by
+    (q, n): k = q+1, l = p_n(q), v = p_{n+1}(q),
+    u = chunks_per_iteration(q, n), n >= 1 and
+    field_meta = FieldMeta.of(field_new(q)); any other must have
+    0 <= u <= v*l."""
     fm, strs = sd.field_meta, (sd.version, sd.construction)
     if type(fm) is not FieldMeta or type(fm.modulus) is not tuple:
         raise InvalidDesign(f"malformed design payload: expected field metadata, got {fm!r}")
@@ -223,16 +222,6 @@ def _check_types(sd: StorageDesign) -> None:
                 raise InvalidDesign(f"malformed design payload: expected {name}, got {x!r}")
     if type(sd.nodes) is not tuple or not set(map(type, sd.nodes)) <= {tuple}:
         raise InvalidDesign("malformed design payload: the nodes are no tuple of row tuples")
-
-
-def _check_header(sd: StorageDesign) -> None:
-    """Creation's checks in O(v): every field and row container has
-    exactly its type (_check_types) and there are v rows.  A canonical
-    header is fixed by (q, n): k = q+1, l = p_n(q), v = p_{n+1}(q),
-    u = chunks_per_iteration(q, n), n >= 1 and
-    field_meta = FieldMeta.of(field_new(q)); any other must have
-    0 <= u <= v*l."""
-    _check_types(sd)
     q, n, v = sd.q, sd.n, sd.v
     if len(sd.nodes) != v:
         raise InvalidDesign(f"expected {v} nodes, found {len(sd.nodes)}")

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation
-error.  All payload output is deterministic for fixed arguments.
+error; the script entry exits 130 on SIGINT and 143 on SIGTERM.  All
+payload output is deterministic for fixed arguments.
 
 `main` pauses the cyclic garbage collector while a command runs and
 restores the caller's setting when it returns.  A command allocates
@@ -32,12 +33,13 @@ import errno
 import gc
 import json
 import os
+import signal
 import sys
 from contextlib import suppress
 
 from . import design as design_mod
 from . import verify as verify_mod
-from .cage import _decimal, _resolve_max_edges, build_scaled_cage, to_dot
+from .cage import _check_rows, _decimal, _resolve_max_edges, build_scaled_cage, to_dot
 from .errors import FrcageError, ResourceLimit
 from .gf import field_new
 from .mols import generate_mols
@@ -88,13 +90,11 @@ def _read(path: str, max_edges: int | None = None) -> bytes:
     return b"".join(parts)  # from_json decodes: JSON text is UTF-8 whatever the locale
 
 
-def _load(path: str, index: bool = True) -> design_mod.StorageDesign:
-    """The checked design in the file; index=False builds no location index."""
-    text = _read(path)
-    if index:
-        return design_mod.from_json(text)
-    sd = design_mod._parse(text)
-    design_mod._validate(sd, index=False)
+def _load(path: str) -> design_mod.StorageDesign:
+    """The design in the file, checked as creation checks it, with no
+    location index: the load of fill, repair and the CSV export."""
+    sd = design_mod._parse(_read(path))
+    _check_rows(sd)
     return sd
 
 
@@ -105,7 +105,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sd = _load(args.input)
+    sd = design_mod.from_json(_read(args.input))
     if sd.is_complete:
         report = verify_mod.verify_design(sd).as_dict()
         report["complete"] = True
@@ -125,13 +125,13 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_fill(args) -> int:
-    sd = _load(args.input, index=False)
+    sd = _load(args.input)
     _write(design_mod.to_json(design_mod.partial_fill(sd, args.chunks)), args.output)
     return 0
 
 
 def _cmd_repair(args) -> int:
-    plan = design_mod.repair_plan(_load(args.input, index=False), args.node)
+    plan = design_mod.repair_plan(_load(args.input), args.node)
     _write(json.dumps(plan._asdict(), sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -166,10 +166,10 @@ def _cmd_mols(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    sd = _load(args.input, index=args.format == "dot")  # to_csv reads no x_neighbors
-    if args.format == "csv":
-        _write(design_mod.to_csv(sd), args.output)
+    if args.format == "csv":  # to_csv reads no x_neighbors
+        _write(design_mod.to_csv(_load(args.input)), args.output)
     else:
+        sd = design_mod.from_json(_read(args.input))
         _write(to_dot(sd, name=f"design_q{sd.q}_n{sd.n}"), args.output)
     return 0
 
@@ -240,20 +240,37 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         return code
     except (FrcageError, OSError) as exc:
-        label = "IOError" if isinstance(exc, OSError) else type(exc).__name__
-        with suppress(OSError):  # best effort: with fd 2 closed, the exit code alone tells
-            if sys.stderr is not None:  # None where fd 2 was closed at start-up
-                print(f"{label}: {exc}", file=sys.stderr)
+        _report("IOError" if isinstance(exc, OSError) else type(exc).__name__, exc)
         return 2
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
+def _report(label: str, detail) -> None:
+    """One line on stderr, best effort: with fd 2 closed, the exit code alone tells."""
+    with suppress(OSError):
+        if sys.stderr is not None:  # None where fd 2 was closed at start-up
+            print(f"{label}: {detail}", file=sys.stderr)
+
+
+def _terminate(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def entry() -> None:
     """Run `main` and end the process without teardown (module docstring).
-    A usage error or --help still leaves through argparse's SystemExit."""
-    code = main()
+    A usage error or --help still leaves through argparse's SystemExit.
+    SIGINT and SIGTERM raise KeyboardInterrupt inside `main`, so the
+    file being written is removed (_write); each is reported on one
+    stderr line and exits 128 plus its number, 130 and 143."""
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        code = main()
+    except KeyboardInterrupt as exc:  # SIGINT's own handler raises it with no number
+        signum = signal.Signals(exc.args[0] if exc.args else signal.SIGINT)
+        _report("Interrupted", signum.name)
+        code = 128 + signum
     atexit._run_exitfuncs()
     for stream in sys.stdout, sys.stderr:  # after the hooks, as teardown flushes them
         try:

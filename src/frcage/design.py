@@ -58,8 +58,9 @@ class RepairPlan(namedtuple("RepairPlan", "failed_node assignments")):
 def chunk_locations(sd: StorageDesign) -> tuple[tuple[int, ...], ...]:
     """For every chunk id, the ascending list of nodes storing it
     (empty for chunks blanked by partial fill): the design's
-    x_neighbors, recorded by from_json or else transposed once from the
-    checked rows.  verify and the DOT export read it; fill and repair do not."""
+    x_neighbors, recorded by from_json or else built by cage._index on
+    first use.  verify and the DOT export read it; fill, repair and the
+    CSV export do not."""
     return sd.x_neighbors
 
 
@@ -224,14 +225,20 @@ def to_json(sd: StorageDesign) -> str:
 
 
 def from_json(text: str | bytes) -> StorageDesign:
-    """Parse and validate a serialized design, text or UTF-8 bytes.  Raises InvalidDesign."""
+    """The indexed load of a design, text or UTF-8 bytes, for verify and
+    the DOT export: _parse, the row checks that record sd.x_neighbors
+    (cage._check_rows), then the replica counts read from that index.
+    Raises InvalidDesign, in creation's words."""
     sd = _parse(text)
-    _validate(sd)
+    _check_rows(sd, index=True)
+    bad = _replica_defect(sd)
+    if bad is not None:
+        raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")
     return sd
 
 
 def _parse(text: str | bytes) -> StorageDesign:
-    """from_json's first stage: the JSON and creation's header checks
+    """Every load's first stage: the JSON and creation's header checks
     (cage._check_header); the rows are not checked."""
     try:
         payload = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
@@ -246,16 +253,6 @@ def _parse(text: str | bytes) -> StorageDesign:
     except (KeyError, TypeError) as exc:
         raise InvalidDesign(f"malformed design payload: {exc}") from exc
     return _sketch(**fields, nodes=nodes, field_meta=field_meta)
-
-
-def _validate(sd: StorageDesign, index: bool = True) -> None:
-    """from_json's second stage: creation's row checks (cage._check_rows),
-    which with index record sd.x_neighbors and read the replica counts
-    from it."""
-    _check_rows(sd, index)
-    bad = _replica_defect(sd) if index else None
-    if bad is not None:  # in _check_rows's words
-        raise InvalidDesign(f"chunk {bad[0]} has {bad[1]} replicas, expected {sd.k}")
 
 
 def to_csv(sd: StorageDesign) -> str:

@@ -221,16 +221,13 @@ def verify_design(d: StorageDesign) -> VerificationReport:
     against the design's declared parameters.  Failures are reported,
     never raised; a partially filled table raises InvalidDesign.
     Creation gives every node l slots and every present chunk k holders,
-    so the degree witness names a chunk that no node holds: ("x", c, 0)."""
+    so the degree witness names the first chunk no node holds: ("x", c, 0)."""
     if not d.is_complete:
         raise InvalidDesign("cannot verify a partially filled design as a complete one")
     witnesses: dict = {}
 
-    # the set of lengths is built in C, so the Python walk below runs only on a defect
-    if set(map(len, d.x_neighbors)) != {d.k}:
-        w = next((("x", c, len(ys)) for c, ys in enumerate(d.x_neighbors) if len(ys) != d.k), None)
-        if w is not None:
-            witnesses["degree"] = w
+    if () in d.x_neighbors:  # a C-level scan; a checked complete table's only degree defect
+        witnesses["degree"] = ("x", d.x_neighbors.index(()), 0)
 
     girth_ok, w = girth_at_least_six(d)
     if w is not None:

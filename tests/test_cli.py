@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, files, determinism."""
 
+import errno
 import gc
 import hashlib
 import json
 import os
 import random
+import signal
 import stat
 import subprocess
 import sys
@@ -164,7 +166,7 @@ def test_over_cap_expand_is_refused_before_the_rows(tmp_path, capsys, monkeypatc
         raise AssertionError("an over-cap expand checked or indexed the rows")
 
     monkeypatch.setattr(design, "_check_rows", boom)
-    monkeypatch.setattr(cage, "_transpose", boom)
+    monkeypatch.setattr(cage, "_index", boom)
     for p in (path, good):
         code, out, err = run(capsys, "expand", "-i", str(p), "--max-edges", "400")
         assert (code, out) == (2, "") and err.startswith("ResourceLimit:"), err
@@ -318,7 +320,7 @@ def test_index_free_load_plans_every_node_by_the_ring(tmp_path, q, n):
     path = tmp_path / "d.json"
     for sd in (built, design.partial_fill(built, u_prev + 1), design.partial_fill(built, built.u - 1)):
         path.write_text(to_json(sd))
-        loaded = cli._load(str(path), index=False)
+        loaded = cli._load(str(path))
         assert loaded == sd and "x_neighbors" not in vars(loaded)
         holders = helpers.holders_from_rows(loaded.nodes, loaded.u)
         for g in range(loaded.v):
@@ -378,7 +380,7 @@ def test_fill_repair_and_verify_refuse_a_file_alike(tmp_path, capsys, edit, firs
     path = tmp_path / "bad.json"
     _broken(path, edit)
     for argv in (["fill", "--chunks", "100"], ["repair", "--node", "7"], ["repair", "--node", "0"],
-                 ["verify"], ["export", "--format", "csv"]):
+                 ["verify"], ["export", "--format", "csv"], ["export", "--format", "dot"]):
         code, out, err = run(capsys, *argv, "-i", str(path))
         assert (code, out, err.splitlines()[0]) == (2, "", first_line), argv
 
@@ -392,7 +394,8 @@ def test_a_blanked_replica_is_counted_on_every_load(tmp_path, capsys):
     payload["nodes"][7][0] = None
     path.write_text(json.dumps(payload))
     first_line = f"InvalidDesign: chunk {c} has 2 replicas, expected 3"
-    for argv in (["fill", "--chunks", "100"], ["repair", "--node", "7"], ["verify"]):
+    for argv in (["fill", "--chunks", "100"], ["repair", "--node", "7"], ["verify"],
+                 ["export", "--format", "csv"], ["export", "--format", "dot"]):
         code, out, err = run(capsys, *argv, "-i", str(path))
         assert (code, out, err.splitlines()[0]) == (2, "", first_line), argv
 
@@ -873,14 +876,18 @@ def test_commands_make_no_cyclic_garbage_that_grows(small, large, tmp_path):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _script_env():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    return env
+
+
 def _script(*argv, stdout=subprocess.PIPE, code=None, redirect=None):
     """Run the script entry; `redirect` is a shell redirection such as
     "<&-" applied to the child, so it starts with that fd closed."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = SRC
     args = ["-c", code] if code is not None else ["-m", "frcage.cli", *argv]
     shell = ["sh", "-c", f'exec "$@" {redirect}', "sh"] if redirect else []
-    return subprocess.run([*shell, sys.executable, *args], env=env, stdout=stdout,
+    return subprocess.run([*shell, sys.executable, *args], env=_script_env(), stdout=stdout,
                           stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120)
 
 
@@ -1010,3 +1017,60 @@ def test_script_runs_alike_with_fd_0_closed(tmp_path, capsys):
         opened, closed = _script(*argv), _script(*argv, redirect="<&-")
         assert (closed.returncode, closed.stdout) == (opened.returncode, opened.stdout), argv
         assert b"Traceback" not in closed.stderr + opened.stderr, argv
+
+
+@pytest.mark.parametrize("sig, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)],
+                         ids=["SIGINT", "SIGTERM"])
+def test_script_reports_a_signal_in_one_line(tmp_path, sig, code):
+    # verify blocks reading a FIFO whose one writer, this test, writes nothing; the child
+    # starts with both signals at Python's defaults, whatever this process ignores
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    code_text = ("import runpy, signal, sys\n"
+                 "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                 "signal.signal(signal.SIGTERM, signal.SIG_DFL)\n"
+                 f"sys.argv = ['frcage', 'verify', '-i', {str(fifo)!r}]\n"
+                 "runpy.run_module('frcage.cli', run_name='__main__')\n")
+    w, deadline = None, time.monotonic() + 60
+    with subprocess.Popen([sys.executable, "-c", code_text], env=_script_env(),
+                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        try:
+            while w is None:  # a writer's open succeeds once the child has the FIFO open to read
+                try:
+                    w = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                except OSError as exc:
+                    assert exc.errno == errno.ENXIO and time.monotonic() < deadline, exc
+                    time.sleep(0.01)
+            child.send_signal(sig)
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()  # a no-op once communicate has reaped it
+            if w is not None:
+                os.close(w)
+    assert (child.returncode, out, err) == (code, b"", f"Interrupted: {sig.name}\n".encode())
+
+
+def test_main_leaves_a_signal_to_its_caller(monkeypatch):
+    # only the script entry reports signals; an in-process caller sees the interrupt
+    def interrupted(sd):
+        raise KeyboardInterrupt
+
+    handler = signal.getsignal(signal.SIGTERM)
+    monkeypatch.setattr(design, "to_json", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["construct", "--q", "2", "--n", "1"])
+    assert signal.getsignal(signal.SIGTERM) == handler
+
+
+def test_script_sigterm_during_a_write_leaves_the_old_file(tmp_path):
+    # the signal arrives as the finished temporary file would replace the old one
+    path = tmp_path / "d.json"
+    path.write_text("old\n")
+    argv = ["frcage", "construct", "--q", "2", "--n", "2", "-o", str(path)]
+    done = _script(code="import os, runpy, signal, sys\n"
+                        "os.replace = lambda *a: signal.raise_signal(signal.SIGTERM)\n"
+                        f"sys.argv = {argv!r}\n"
+                        "runpy.run_module('frcage.cli', run_name='__main__')\n")
+    assert (done.returncode, done.stdout, done.stderr) == (143, b"", b"Interrupted: SIGTERM\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.json"] and path.read_text() == "old\n"

@@ -265,10 +265,10 @@ def _load_and_lazy_index(payload):
     except FrcageError as exc:
         lazy = str(exc)
     try:
-        design._validate(parsed)
+        loaded = design.from_json(json.dumps(payload))
     except FrcageError as exc:
         return str(exc), lazy
-    return vars(parsed)["x_neighbors"], lazy
+    return vars(loaded)["x_neighbors"], lazy
 
 
 @pytest.mark.parametrize("q, n", DESIGNS)
