@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import namedtuple
+from functools import partial
 from itertools import chain
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from .cage import (
     CONSTRUCTION,
@@ -105,7 +106,9 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     count and at most at this iteration's; slot positions are kept so
     chunks can be filled in later without moving anything.  Tables this
     library did not build raise NotCanonical.  The result's rows are not
-    checked again: prefixes of checked rows pass every row check.
+    checked again: prefixes of checked rows pass every row check.  Its
+    is_complete is recorded: every id below full.u is held, so only
+    u_tilde = full.u blanks no slot.
     """
     _require_canonical(full)
     if not full.is_complete:
@@ -116,7 +119,9 @@ def partial_fill(full: StorageDesign, u_tilde: int) -> StorageDesign:
     # the ids kept in an ascending row are a prefix, so one bisect finds its end
     nodes = tuple(row[:i] + (None,) * (len(row) - i)
                   for row in full.nodes for i in [bisect_left(row, u_tilde)])
-    return _sketch(**{**full._asdict(), "nodes": nodes})
+    sd = _sketch(**{**full._asdict(), "nodes": nodes})
+    sd.__dict__["is_complete"] = u_tilde == full.u
+    return sd
 
 
 def repair_plan(sd: StorageDesign, failed: int) -> RepairPlan:
@@ -202,23 +207,60 @@ _HEADER = {"version": "version", "construction": "construction", "q": "q", "n": 
            "k": "k", "l": "l", "num_nodes": "v", "num_chunks": "u"}
 
 
+def _decimals(u: int) -> list[str]:
+    """list(map(str, range(u))) at about half its cost: one text of the
+    ids split once, each thousand t >= 1 written as t's digits before
+    every 3-digit group."""
+    low = " ".join([str(i)[1:] for i in range(1000, 2000)])  # "000 001 ... 999"
+    dec = " ".join([" ".join(map(str, range(min(u, 1000)))),
+                    *[f"{t}{low.replace(' ', f' {t}')}" for t in range(1, -(-u // 1000))]]).split(" ")
+    del dec[u:]
+    return dec
+
+
+_is_blank = partial(is_, None)
+
+
+def _row_texts(sd: StorageDesign, blank: str) -> list[str]:
+    """Each row's slots joined by commas, an id as its decimal and an
+    empty slot as blank.  Each id's decimal is made once (_decimals), up
+    to the largest present id: about 56 bytes each, against the 5 to 7
+    bytes of each of its k slots of text.  A row whose blanks are its
+    suffix, as every partial_fill row's are, is its ids joined from
+    that table and then its blanks; a table with a blank between two ids
+    (only a hand-built one has one) is written slot by slot."""
+    l, rows, cuts, size = sd.l, sd.nodes, None, sd.u
+    if not sd.is_complete:  # the first blank of a blank suffix, found in O(log l)
+        nulls, cuts = (None,) * l, [bisect_left(row, True, key=_is_blank) for row in rows]
+        rows = (row[:i] if row[i:] == nulls[i:] else row for row, i in zip(rows, cuts))
+        size = max([row[i - 1] for row, i in zip(sd.nodes, cuts) if i], default=-1) + 1
+    dec = _decimals(size)
+    try:  # itemgetter of one id gives a bare str and of none raises
+        texts = [",".join(itemgetter(*ids)(dec) if len(ids) > 1 else map(dec.__getitem__, ids))
+                 for ids in rows]
+    except TypeError:  # a blank among ids; a checked row reaches it before any id >= size
+        dec = _decimals(sd.u)
+        return [",".join([blank if c is None else dec[c] for c in row]) for row in sd.nodes]
+    if cuts is None:
+        return texts
+    sep = f",{blank}"
+    for g, i in enumerate(cuts):  # in place, so no second list holds every row
+        texts[g] = texts[g] + sep * (l - i) if i else (sep * l)[1:]
+    return texts
+
+
 def to_json(sd: StorageDesign) -> str:
     """Canonical JSON: header plus node rows, empty slots as null; the
     text of json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    and a newline."""
+    and a newline.  json.dumps writes the header and _row_texts the
+    rows, so the peak is about twice the text plus the decimal table."""
     header = {key: getattr(sd, name) for key, name in _HEADER.items()}
     header["field"] = sd.field_meta._asdict()
-    # Each id is written k times.  From k = 9 its one string (about 56 bytes) costs less
-    # than the k slots of text that json.dumps would format one by one (5 to 6.5 bytes each).
-    if sd.k < 9 or not sd.v or not sd.is_complete:
-        payload = {"header": header, "nodes": sd.nodes}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    dec = list(map(str, range(sd.u)))
-    rows = [",".join(itemgetter(*row)(dec) if len(row) > 1 else map(dec.__getitem__, row))
-            for row in sd.nodes]  # itemgetter of one id gives a bare str, of none raises
-    del dec
-    # the ends ride on the first and last rows, so the join makes the one full-size copy
     head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    rows = _row_texts(sd, "null")
+    if not rows:
+        return f'{{"header":{head},"nodes":[]}}\n'
+    # the ends ride on the first and last rows, so the join makes the one full-size copy
     rows[0] = f'{{"header":{head},"nodes":[[{rows[0]}'
     rows[-1] += "]]}\n"
     return "],[".join(rows)
@@ -256,7 +298,7 @@ def _parse(text: str | bytes) -> StorageDesign:
 
 
 def to_csv(sd: StorageDesign) -> str:
-    """One row per node: node id followed by its slots (blank = empty)."""
-    lines = [",".join([str(g), *("" if c is None else str(c) for c in row)])
-             for g, row in enumerate(sd.nodes)]
+    """One row per node: node id followed by its slots, a blank as an
+    empty field; the slots are written by _row_texts, as to_json's are."""
+    lines = [f"{g},{text}" if sd.l else str(g) for g, text in enumerate(_row_texts(sd, ""))]
     return "\n".join(lines) + "\n"

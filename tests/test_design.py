@@ -491,8 +491,9 @@ def _hand_built(k, u, rows):
     return replace(base, k=k, l=len(rows[0]) if rows else 0, v=len(rows), u=u, nodes=rows)
 
 
-def test_to_json_matches_json_dumps_on_both_sides_of_the_cutoff(monkeypatch):
-    # k >= 9 and complete: rows are joined from one string per id; else json.dumps writes them
+def _row_form_tables():
+    """Complete tables, tables whose blanks are each row's suffix, and
+    tables with a blank between two ids, of every k the writer meets."""
     tables = [
         _hand_built(9, 0, ((), (), ())),
         _hand_built(11, 11, ((10,),) * 11),  # one id, with two digits
@@ -501,19 +502,59 @@ def test_to_json_matches_json_dumps_on_both_sides_of_the_cutoff(monkeypatch):
         _hand_built(9, 0, ()),
         _hand_built(9, 12, ((0, None),) * 9),
         _hand_built(8, 12, ((0, 1, 2),) * 8),
+        _hand_built(3, 0, ((), (), ())),  # l = 0
+        _hand_built(1, 6, ((5,), (0,), (1,), (2,), (3,), (4,))),  # one id per row
+        _hand_built(1, 4, ((3, None, None), (0, 1, 2))),  # one id, then blanks
+        _hand_built(1, 2, ((None, None), (0, 1))),  # an all-blank row
+        _hand_built(1, 5, ((0, None, 1), (2, 3, 4))),  # a blank between two ids
+        _hand_built(1, 3, ((None, 0, None), (1, None, 2))),  # blanks before and between ids
     ]
-    for q, n in ((2, 3), (8, 1), (9, 1), (13, 1)):
+    for q, n in ((2, 1), (2, 3), (8, 1), (9, 1), (13, 1)):
         full = build_scaled_cage(q, n)
         tables += [full, from_json(to_json(full)), partial_fill(full, chunks_per_iteration(q, n - 1) + 1),
                    partial_fill(full, full.u - 1)]
-    dumped = []
-    real = json.dumps
+    return tables
+
+
+def _blank_between_ids(sd):
+    return any(c is not None for row in sd.nodes if None in row for c in row[row.index(None):])
+
+
+def test_to_json_matches_json_dumps_on_every_row_form(monkeypatch):
+    # each id's decimal is made once, up to the largest present id; a blank between
+    # two ids sends the table slot by slot, with a second table of all u ids
+    tables = _row_form_tables()
+    dumped, sizes = [], []
+    real, decimals = json.dumps, frcage.design._decimals
     monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append("nodes" in obj) or real(obj, **kw))
+    monkeypatch.setattr(frcage.design, "_decimals", lambda u: sizes.append(u) or decimals(u))
     for sd in tables:
+        text = _dumps_reference(sd)
         dumped.clear()
-        assert to_json(sd) == _dumps_reference(sd), sd
-        assert dumped[0] is not (sd.k >= 9 and sd.v > 0 and sd.is_complete), sd
-    assert {sd.k >= 9 and sd.v > 0 and sd.is_complete for sd in tables} == {True, False}
+        sizes.clear()
+        assert to_json(sd) == text, sd
+        assert dumped == [False], sd  # json.dumps writes the header alone
+        if _blank_between_ids(sd):
+            assert len(sizes) == 2 and sizes[1] == sd.u, sd
+        else:
+            present = [c for row in sd.nodes for c in row if c is not None]
+            assert sizes == [sd.u if sd.is_complete else max(present, default=-1) + 1], sd
+    assert {(sd.k < 9, sd.is_complete, _blank_between_ids(sd)) for sd in tables} == {
+        (True, True, False), (False, True, False), (True, False, False), (False, False, False),
+        (True, False, True)}
+
+
+def test_csv_matches_its_per_slot_formula():
+    for sd in _row_form_tables():
+        want = "\n".join([",".join([str(g), *("" if c is None else str(c) for c in row)])
+                          for g, row in enumerate(sd.nodes)]) + "\n"
+        assert to_csv(sd) == want, sd
+
+
+@pytest.mark.parametrize("u", [0, 1, 999, 1000, 1001, 999_999, 1_000_000, 1_000_001, 1_234_567])
+def test_decimals_are_the_ids_in_decimal(u):
+    dec = frcage.design._decimals(u)
+    assert len(dec) == u and all(map(str.__eq__, dec, map(str, range(u))))
 
 
 @pytest.mark.parametrize("q, n", [(13, 2), (64, 1)])
@@ -617,14 +658,17 @@ def test_load_names_row_defects_then_range_then_replicas():
 
 
 def test_build_and_creation_record_completeness():
-    # the build records it by construction; creation's row checks record it
-    # too, and pass on the build's rows
+    # the build and partial_fill record it by construction; creation's row
+    # checks record it too, and pass on the build's rows
     for q, n in [(2, 3), (3, 2), (8, 1)]:
         sd = build_scaled_cage(q, n)
         assert vars(sd)["is_complete"] is True
         fresh = replace(sd, construction="hand-built")
         assert vars(fresh)["is_complete"] is True
         assert vars(replace(partial_fill(sd, sd.u - 1)))["is_complete"] is False
+        for u_tilde in (chunks_per_iteration(q, n - 1) + 1, sd.u - 1, sd.u):
+            part = partial_fill(sd, u_tilde)
+            assert vars(part)["is_complete"] is (u_tilde == sd.u) is vars(replace(part))["is_complete"]
 
 
 # ---------------------------------------------------------------------------
